@@ -37,7 +37,7 @@ from repro.hpo import (
 )
 from repro.hpo.objective import fast_mock_objective, train_experiment
 from repro.pycompss_api.constraint import ResourceConstraint
-from repro.runtime.config import RuntimeConfig
+from repro.runtime.config import RuntimeConfig, check_backend
 from repro.runtime.reuse import ReuseCache
 from repro.runtime.runtime import COMPSsRuntime
 from repro.runtime.stats import render_resilience, render_stats
@@ -59,6 +59,15 @@ CLUSTERS = {
 }
 
 
+def _backend(value: str) -> str:
+    """``--backend`` value; the removed ``processes`` names its successor."""
+    try:
+        check_backend(value, ("threads", "workers"), "--backend")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument schema (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -76,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor", choices=["local", "simulated"], default="local"
     )
     run.add_argument(
-        "--backend", choices=["threads", "processes", "workers"],
+        "--backend", type=_backend, choices=["threads", "workers"],
         default="threads",
         help="local-executor body backend; 'workers' is the supervised "
         "worker-process pool (crash containment, hard-kill deadlines, "
@@ -240,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor", choices=["local", "simulated"], default="local"
     )
     serve.add_argument(
-        "--backend", choices=["threads", "processes", "workers"],
+        "--backend", type=_backend, choices=["threads", "workers"],
         default="threads",
     )
     serve.add_argument("--scheduler",

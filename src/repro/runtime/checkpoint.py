@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import (
     Any,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -840,38 +841,7 @@ def recover_lost_data(runtime: "COMPSsRuntime", node: str) -> List[str]:
     if not to_rerun:
         return []
 
-    # Consumers already RUNNING would resolve destroyed inputs when their
-    # body executes (the simulated executor runs bodies at completion
-    # time): abort those attempts and let them re-run once their inputs
-    # are re-materialised.  An executor that cannot abort (local threads
-    # already hold the resolved arguments in memory) leaves them be.
-    aborted: Dict[int, TaskInvocation] = {}
-    for t in to_rerun.values():
-        for s in graph.successors(t):
-            if (
-                s.state == TaskState.RUNNING
-                and s.task_id not in to_rerun
-                and s.task_id not in aborted
-                and runtime.executor.abort_task(s)
-            ):
-                aborted[s.task_id] = s
-
-    destroyed_labels = sorted(
-        runtime.access.invalidate_versions_written_by(to_rerun.values())
-    )
-    for t in to_rerun.values():
-        for fut in runtime.future_slots(t):
-            fut.invalidate()
-        t.result = None
-        t.start_time = t.end_time = None
-    batch = list(to_rerun.values()) + list(aborted.values())
-    graph.invalidate(batch)
-    # Entries already handed to the dispatch engine's class heaps cannot
-    # be removed from the graph's ready deque above; tombstone them so a
-    # scheduling round does not place a task whose inputs are gone.
-    runtime.dispatcher.purge(
-        [t for t in batch if t.state != TaskState.READY]
-    )
+    destroyed_labels, aborted = reexecute_writers(runtime, to_rerun.values())
     from repro.runtime import resilience as rsl
 
     for t in sorted(to_rerun.values(), key=lambda t: t.task_id):
@@ -882,6 +852,72 @@ def recover_lost_data(runtime: "COMPSsRuntime", node: str) -> List[str]:
     _log.info(
         "node %s lost %d data version(s); re-executing %d task(s) "
         "(+%d aborted consumer(s))",
-        node, len(destroyed_labels), len(to_rerun), len(aborted),
+        node, len(destroyed_labels), len(to_rerun), aborted,
     )
     return destroyed_labels
+
+
+def reexecute_writers(
+    runtime: "COMPSsRuntime",
+    writers: Iterable[TaskInvocation],
+    extra_consumers: Iterable[TaskInvocation] = (),
+) -> Tuple[List[str], int]:
+    """Send ``writers`` back through the graph: their data is gone.
+
+    The one lineage re-execution routine, shared by node-loss recovery
+    (:func:`recover_lost_data`) and unrepairable corruption
+    (:meth:`~repro.runtime.runtime.COMPSsRuntime.recompute_corrupt`).
+    Consumers already RUNNING would resolve the lost inputs when their
+    body executes (the simulated executor runs bodies at completion
+    time): the attempt lifecycle aborts them, and they re-run once their
+    inputs are re-materialised.  The writers' data versions are
+    invalidated, their futures forget their values, and the batch —
+    writers, ``extra_consumers`` (not-yet-running consumers a caller
+    pulled back from dispatch) and aborted consumers — re-enters the
+    graph.  Consumers the graph pulls back to waiting (READY successors
+    of an un-completed writer) are tombstoned in the dispatch engine
+    too, so a scheduling round never places a task whose inputs are
+    gone.
+
+    Returns the invalidated version labels and the number of aborted
+    consumers.
+    """
+    graph = runtime.graph
+    to_rerun: Dict[int, TaskInvocation] = {t.task_id: t for t in writers}
+    aborted: Dict[int, TaskInvocation] = {}
+    abort_task = runtime.executor.lifecycle.abort_task
+    for t in to_rerun.values():
+        for s in graph.successors(t):
+            if (
+                s.state == TaskState.RUNNING
+                and s.task_id not in to_rerun
+                and s.task_id not in aborted
+                and abort_task(s)
+            ):
+                aborted[s.task_id] = s
+    labels = sorted(runtime.access.invalidate_versions_written_by(to_rerun.values()))
+    for t in to_rerun.values():
+        for fut in runtime.future_slots(t):
+            fut.invalidate()
+        t.result = None
+        t.start_time = t.end_time = None
+    batch = list(to_rerun.values())
+    for consumer in extra_consumers:
+        if consumer.task_id not in to_rerun and consumer.task_id not in aborted:
+            batch.append(consumer)
+    batch += list(aborted.values())
+    in_batch = {t.task_id for t in batch}
+    pulled_back = [
+        s
+        for t in batch
+        if t.state == TaskState.DONE
+        for s in graph.successors(t)
+        if s.task_id not in in_batch and s.state == TaskState.READY
+    ]
+    graph.invalidate(batch)
+    # Entries already handed to the dispatch engine's class heaps cannot
+    # be removed from the graph's ready deque; tombstone them.
+    runtime.dispatcher.purge(
+        [t for t in batch + pulled_back if t.state != TaskState.READY]
+    )
+    return labels, len(aborted)

@@ -19,6 +19,16 @@ from repro.simcluster.machines import ClusterSpec, local_machine
 from repro.util.validation import check_non_negative, check_one_of, check_positive
 
 
+def check_backend(backend: str, allowed, name: str = "backend") -> None:
+    """Validate a local body backend; point ``processes`` at ``workers``."""
+    if backend == "processes":
+        raise ValueError(
+            f'{name}="processes" was removed; use backend="workers", the '
+            "supervised worker-process pool"
+        )
+    check_one_of(name, backend, list(allowed))
+
+
 @dataclass
 class RuntimeConfig:
     """Configuration for :class:`~repro.runtime.runtime.COMPSsRuntime`.
@@ -30,12 +40,11 @@ class RuntimeConfig:
     scheduler:
         ``"fifo"`` / ``"priority"`` / ``"locality"`` or a Scheduler object.
     executor:
-        ``"local"`` (real threads/processes) or ``"simulated"`` (virtual
+        ``"local"`` (real threads or worker processes) or ``"simulated"`` (virtual
         time over the cluster model), or an Executor object.
     backend:
-        Local executor body backend: ``"threads"`` (in-driver threads),
-        ``"processes"`` (shared ``ProcessPoolExecutor``), or
-        ``"workers"`` (supervised long-lived worker-process pool with
+        Local executor body backend: ``"threads"`` (in-driver threads)
+        or ``"workers"`` (supervised long-lived worker-process pool with
         crash containment, hard-kill deadlines, and poison-task
         quarantine — see
         :class:`~repro.runtime.executor.workers.WorkerPoolExecutor`).
@@ -282,10 +291,7 @@ class RuntimeConfig:
         # Knob names are fully qualified so a validation error raised deep
         # inside a service daemon still tells the operator exactly which
         # RuntimeConfig field (and received value) to fix.
-        check_one_of(
-            "RuntimeConfig.backend", self.backend,
-            ["threads", "processes", "workers"],
-        )
+        check_backend(self.backend, ("threads", "workers"), "RuntimeConfig.backend")
         check_one_of(
             "RuntimeConfig.journal_fsync", self.journal_fsync,
             ["always", "commit", "off"],

@@ -1,10 +1,12 @@
 """Executor interface and shared helpers.
 
-An executor owns *when and where task bodies run*; the runtime owns the
-graph and data bookkeeping.  Both executors share the same scheduler and
-resource pool, so scheduling behaviour (FIFO waves, constraint matching,
-fault handling) is identical between real and simulated execution — only
-the clock differs.
+An executor owns *where task bodies run and how their outcomes come
+back*; the runtime owns the graph and data bookkeeping, and the
+:class:`~repro.runtime.executor.lifecycle.AttemptLifecycle` owns every
+decision about an attempt (retries, deadlines, speculation, drains,
+starvation).  All executors share the same scheduler, resource pool and
+lifecycle, so scheduling and fault handling are identical between real
+and simulated execution — only the clock differs.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import abc
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
+from repro.runtime.executor.lifecycle import AttemptLifecycle
 from repro.runtime.future import Future, is_future
 from repro.runtime.task_definition import TaskInvocation
 
@@ -24,6 +27,7 @@ class Executor(abc.ABC):
 
     def __init__(self) -> None:
         self.runtime: Optional["COMPSsRuntime"] = None
+        self.lifecycle: Optional[AttemptLifecycle] = None
 
     def bind(self, runtime: "COMPSsRuntime") -> None:
         """Attach to a runtime (graph, pool, scheduler, tracer, policy)."""
@@ -53,53 +57,45 @@ class Executor(abc.ABC):
         """The pool's node set changed (add/drain/fail/recover).
 
         The dispatch engine has already buffered the wake via the pool's
-        listener protocol; this hook gives the executor a chance to run a
-        scheduling round *now* so waiting tasks reach the new capacity
-        without waiting for the next completion.  The default is a no-op
-        (executors whose event loop polls, e.g. during ``wait_for``,
-        pick the wake up there).
+        listener protocol; running a scheduling round *now* lets waiting
+        tasks reach the new capacity without waiting for the next
+        completion.
         """
+        self.lifecycle.dispatch()
 
     def notify_task_resolutions(self) -> None:
-        """Task states changed outside the executor's completion paths.
+        """Task states changed to a terminal state.
 
-        Called after out-of-band terminal transitions — e.g. the service
-        layer abandoning a whole study — so blocked ``wait_for`` calls
-        rescan and observe the failures.  Default no-op (polling
-        executors pick the change up on their next scan).
+        Called by the lifecycle after completions and terminal failures,
+        and by the runtime after out-of-band terminal transitions (e.g.
+        the service layer abandoning a whole study), so blocked
+        ``wait_for`` calls rescan.  Default no-op (executors whose
+        ``wait_for`` polls pick the change up on their next scan).
         """
 
-    def drain_node(self, node: str, deadline_s: float) -> None:
-        """Begin honouring a drain: finish ``node``'s running tasks, then
-        retire it; escalate to a node failure at ``deadline_s``.
+    # ------------------------------------------------------------------
+    # What each executor supplies to the lifecycle
+    # ------------------------------------------------------------------
+    #: What a drain deadline does to the attempts still running on the
+    #: node (detail of the ``drain_deadline`` resilience event).
+    DRAIN_DEADLINE_ACTION = ""
 
-        The pool state (DRAINING) and data spill are handled by the
-        runtime before this is called; executors that track in-flight
-        attempts override this to watch for the last one finishing and to
-        arm the deadline.  The default retires the node immediately when
-        it is idle and otherwise leaves it DRAINING (a conservative,
-        deadline-less drain).
-        """
-        runtime = self.runtime
-        if runtime is not None and not self.node_busy(node):
-            runtime.finish_drain(node)
+    @abc.abstractmethod
+    def _start(self, assignment, speculative: bool = False) -> None:
+        """Launch one attempt of ``assignment`` (register it with
+        ``lifecycle.begin``/``arm`` and run or schedule its body)."""
 
-    def node_busy(self, node: str) -> bool:
-        """Whether the executor has attempts in flight on ``node``."""
-        return False
+    @abc.abstractmethod
+    def _expire_drain(self, node: str) -> None:
+        """A drain deadline passed with attempts still running on ``node``
+        (the node is DRAINING; its spill already happened)."""
 
-    def abort_task(self, task: TaskInvocation) -> bool:
-        """Cancel the in-flight attempts of ``task`` (lineage recovery).
+    def _flush(self) -> None:
+        """Replay any deferred bookkeeping before a lifecycle decision."""
 
-        Returns True only if every attempt was discarded *before*
-        producing a result, so the task can safely re-enter the graph's
-        ready set once its re-materialised inputs land.  The default is
-        False: the local executor's threads resolved their arguments at
-        start and keep running on the pre-loss in-memory values, which is
-        correct (process memory is not what a simulated node loss
-        destroys).
-        """
-        return False
+    def _abandon(self, attempt, reason: str) -> None:
+        """The lifecycle dropped a still-running attempt (``reason`` is
+        ``"deadline"`` or ``"cancelled"``); stop its body if possible."""
 
     # ------------------------------------------------------------------
     # Shared helpers

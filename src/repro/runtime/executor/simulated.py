@@ -11,35 +11,28 @@ in virtual time) so that HPO results are genuine trained-model metrics
 while the *timing* reflects the modelled cluster — the combination used
 by the Fig. 7/8 benchmarks.
 
-Resilience (beyond the paper's retry-then-resubmit): a task may have
-several *attempts* in flight at once.  Deadlines (``task_timeout_s``)
-convert hung attempts into retryable failures; straggler detection
-launches a speculative backup attempt on another node and keeps the first
-finisher; retries wait out an exponential backoff; per-node failures feed
-the runtime's :class:`~repro.runtime.resilience.NodeHealth` tracker.  All
-of it runs on the event engine, so chaos scenarios are bit-deterministic
-under a fixed seed.
+Attempt policy (retries, deadlines, speculation, drains, starvation) is
+the shared :class:`~repro.runtime.executor.lifecycle.AttemptLifecycle`,
+run over the event engine as its clock, so chaos scenarios are
+bit-deterministic under a fixed seed.  This module adds what only a
+simulated cluster has: modelled durations and input staging, torn
+transfers, scripted node failures and spot churn, and a batched
+completion path.  A drain deadline fails the node and destroys its data.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, List, Mapping, Optional, Sequence
 
-from repro.runtime import checkpoint as ckpt
 from repro.runtime import resilience as rsl
 from repro.runtime.executor.base import Executor
-from repro.runtime.fault import (
-    FaultAction,
-    ResourceStarvationError,
-    TaskFailedError,
-    TaskTimeoutError,
-)
+from repro.runtime.executor.lifecycle import Attempt, AttemptLifecycle
+from repro.runtime.fault import TaskFailedError
 from repro.runtime.resources import DOWN
 from repro.runtime.scheduler.base import Assignment, release_assignment
 from repro.runtime.task_definition import TaskInvocation, TaskState
-from repro.runtime.tracing.extrae import TaskRecord
 from repro.simcluster.costmodel import TrainingCostModel, MNIST_LIKE
-from repro.simcluster.events import DiscreteEventSimulator, EventHandle
+from repro.simcluster.events import DiscreteEventSimulator
 from repro.simcluster.failures import MassLoss, NodeRejoin, PreemptionNotice
 from repro.simcluster.node import NodeSpec
 from repro.util.logging_utils import get_logger
@@ -48,31 +41,6 @@ _log = get_logger("runtime.executor.simulated")
 
 #: duration_fn(task, node_spec, allocation) -> seconds of virtual time.
 DurationFn = Callable[[TaskInvocation, NodeSpec, Any], float]
-
-
-class NodeFailureError(RuntimeError):
-    """A task attempt died because its node failed."""
-
-
-class _Attempt:
-    """One in-flight attempt of a task (primary or speculative backup)."""
-
-    __slots__ = ("assignment", "start", "speculative", "handle",
-                 "timeout_handle", "spec_check")
-
-    def __init__(self, assignment: Assignment, start: float, speculative: bool):
-        self.assignment = assignment
-        self.start = start
-        self.speculative = speculative
-        self.handle: Optional[EventHandle] = None
-        self.timeout_handle: Optional[EventHandle] = None
-        self.spec_check: Optional[EventHandle] = None
-
-    def cancel_events(self) -> None:
-        for handle in (self.handle, self.timeout_handle, self.spec_check):
-            if handle is not None:
-                handle.cancel()
-        self.handle = self.timeout_handle = self.spec_check = None
 
 
 class SimulatedExecutor(Executor):
@@ -104,14 +72,7 @@ class SimulatedExecutor(Executor):
         self.default_dataset = default_dataset
         #: Lazily-resolved default dataset profile (``_staging_time``).
         self._default_profile = None
-        #: task_id -> attempts currently in flight (usually one; two while
-        #: a speculative backup races the original).
-        self._attempts: Dict[int, List[_Attempt]] = {}
         self._failures_scheduled = False
-        #: node -> armed drain-deadline event (graceful drain in progress).
-        self._draining: Dict[str, EventHandle] = {}
-        self._starvation_handle: Optional[EventHandle] = None
-        self._starvation_at = 0.0
         #: Buffered completion units — ``(assignment, ready)`` pairs whose
         #: release + scheduling round are deferred into the next batched
         #: engine drain (see :meth:`_drain_pending`).
@@ -124,6 +85,10 @@ class SimulatedExecutor(Executor):
         self._eager_flush = True
 
     # ------------------------------------------------------------------
+    def bind(self, runtime) -> None:
+        super().bind(runtime)
+        self.lifecycle = AttemptLifecycle(runtime, self, self.sim)
+
     @property
     def now(self) -> float:
         """Current virtual time (seconds)."""
@@ -331,22 +296,6 @@ class SimulatedExecutor(Executor):
         return total + base, True
 
     # ------------------------------------------------------------------
-    # Attempt bookkeeping
-    # ------------------------------------------------------------------
-    def _detach(self, task_id: int, attempt: _Attempt) -> bool:
-        """Remove ``attempt`` from the active set; False if already gone."""
-        attempts = self._attempts.get(task_id)
-        if not attempts or attempt not in attempts:
-            return False
-        attempts.remove(attempt)
-        if not attempts:
-            del self._attempts[task_id]
-        return True
-
-    def _siblings(self, task_id: int) -> List[_Attempt]:
-        return self._attempts.get(task_id, [])
-
-    # ------------------------------------------------------------------
     # Node failures
     # ------------------------------------------------------------------
     def _ensure_node_failures_scheduled(self) -> None:
@@ -410,9 +359,8 @@ class SimulatedExecutor(Executor):
         # event-by-event those rounds ran before this failure fired.
         self._drain_pending()
         _log.info("t=%.1f node %s failed", self.now, node)
-        drain = self._draining.pop(node, None)
-        if drain is not None:
-            drain.cancel()  # the failure supersedes the graceful drain
+        lifecycle = self.lifecycle
+        lifecycle.cancel_drain(node)  # the failure supersedes the drain
         self.runtime.pool.fail_node(node)
         destroyed: List[str] = []
         if destroy_data:
@@ -421,36 +369,7 @@ class SimulatedExecutor(Executor):
             # bodies would resolve stale futures at completion time) and
             # the minimal producer lineage re-executes.
             destroyed = self.runtime.recover_lost_data(node)
-        victims = [
-            (tid, attempt)
-            for tid, attempts in list(self._attempts.items())
-            for attempt in list(attempts)
-            if any(al.node == node for al in attempt.assignment.all_allocations)
-        ]
-        for tid, attempt in victims:
-            if not self._detach(tid, attempt):
-                continue
-            attempt.cancel_events()
-            assignment = attempt.assignment
-            task = assignment.task
-            task.attempts += 1
-            self._record(task, assignment, attempt.start, self.now, success=False)
-            # The failed node's slots are NOT released (the worker is reset
-            # on recovery), but a multinode task's allocations on healthy
-            # nodes must go back to the pool.
-            for alloc in assignment.all_allocations:
-                if alloc.node != node:
-                    self.runtime.pool.release(alloc)
-            self.runtime.node_health.record_failure(node, kind="node-failure")
-            exc = NodeFailureError(f"node {node} failed")
-            if self._siblings(tid):
-                # A backup attempt survives on another node; let it race on.
-                task.attempt_history.append(
-                    f"attempt {task.attempts} on {node}: {exc!r} -> "
-                    "backup still running"
-                )
-                continue
-            self._after_failure(assignment, exc, force_other=True)
+        lifecycle.fail_node(node)
         self.runtime.resilience.record(
             self.now, rsl.NODE_LOST, "", node,
             detail=(
@@ -461,24 +380,13 @@ class SimulatedExecutor(Executor):
         )
         # Lineage re-executions (and any aborted consumers whose inputs
         # survived) may be ready right now on the remaining nodes.
-        self._dispatch()
+        lifecycle.dispatch()
 
-    def abort_task(self, task: TaskInvocation) -> bool:
-        """Discard in-flight attempts of ``task`` (lineage recovery).
+    #: A drain deadline fails the node: its data versions die with it.
+    DRAIN_DEADLINE_ACTION = "escalating to failure"
 
-        Simulated bodies run at *completion* time, so an in-flight attempt
-        has computed nothing yet: cancelling its events and releasing its
-        allocations discards it cleanly.  Returns False when no attempt is
-        in flight (e.g. a backoff retry is pending instead).
-        """
-        assert self.runtime is not None
-        attempts = self._attempts.pop(task.task_id, None)
-        if not attempts:
-            return False
-        for attempt in attempts:
-            attempt.cancel_events()
-            release_assignment(self.runtime.pool, attempt.assignment)
-        return True
+    def _expire_drain(self, node: str) -> None:
+        self._fail_node(node, destroy_data=True)
 
     def _recover_node(self, node: str) -> None:
         assert self.runtime is not None
@@ -524,128 +432,11 @@ class SimulatedExecutor(Executor):
         self.runtime.recover_node(node)
 
     # ------------------------------------------------------------------
-    # Graceful drain
-    # ------------------------------------------------------------------
-    def node_busy(self, node: str) -> bool:
-        return any(
-            al.node == node
-            for attempts in self._attempts.values()
-            for attempt in attempts
-            for al in attempt.assignment.all_allocations
-        )
-
-    def drain_node(self, node: str, deadline_s: float) -> None:
-        """Honour a drain: watch for the last attempt, arm the deadline."""
-        assert self.runtime is not None
-        self._drain_pending()
-        if not self.node_busy(node):
-            self.runtime.finish_drain(node)
-            self._dispatch()
-            return
-        previous = self._draining.pop(node, None)
-        if previous is not None:
-            previous.cancel()
-        self._draining[node] = self.sim.schedule(
-            float(deadline_s),
-            lambda: self._drain_deadline(node),
-            label=f"drain-deadline-{node}",
-        )
-        self._dispatch()
-
-    def _check_drains(self) -> None:
-        """Complete any drain whose node has gone idle."""
-        if not self._draining:
-            return
-        assert self.runtime is not None
-        for node in sorted(self._draining):
-            if self.node_busy(node):
-                continue
-            self._draining.pop(node).cancel()
-            self.runtime.finish_drain(node)
-
-    def _drain_deadline(self, node: str) -> None:
-        """The drain window closed; escalate a busy node to a failure."""
-        assert self.runtime is not None
-        self._drain_pending()
-        self._draining.pop(node, None)
-        worker = self.runtime.pool.workers.get(node)
-        if worker is None or not worker.draining:
-            return
-        if not self.node_busy(node):
-            self.runtime.finish_drain(node)
-            return
-        running = sum(
-            1
-            for attempts in self._attempts.values()
-            for attempt in attempts
-            if any(al.node == node for al in attempt.assignment.all_allocations)
-        )
-        flagged = self.runtime.preemption.suspended_count()
-        self.runtime.resilience.record(
-            self.now, rsl.DRAIN_DEADLINE, "", node,
-            detail=f"{running} attempt(s) still running; escalating to failure"
-            + (f"; {flagged} suspend-flagged trial(s) warm-resumable"
-               if flagged else ""),
-        )
-        self._fail_node(node, destroy_data=True)
-
-    # ------------------------------------------------------------------
-    # Starvation watchdog
-    # ------------------------------------------------------------------
-    def _arm_starvation_watchdog(self) -> None:
-        """Keep one sim event armed at the earliest starvation deadline.
-
-        This is what turns an otherwise-stalled simulation (every node a
-        class could use is dead or draining, queue empty) into a timed,
-        structured failure instead of a hang.
-        """
-        assert self.runtime is not None
-        deadline = self.runtime.dispatcher.next_starvation_deadline()
-        if deadline is None:
-            if self._starvation_handle is not None:
-                self._starvation_handle.cancel()
-                self._starvation_handle = None
-            return
-        if self._starvation_handle is not None:
-            if self._starvation_at <= deadline + 1e-9:
-                return  # armed early enough; the handler re-arms
-            self._starvation_handle.cancel()
-        self._starvation_at = max(deadline, self.now)
-        self._starvation_handle = self.sim.schedule_at(
-            self._starvation_at,
-            self._reap_starved,
-            "starvation-watchdog",
-        )
-
-    def _reap_starved(self) -> None:
-        """Fail every task whose class starved past the timeout."""
-        assert self.runtime is not None
-        self._drain_pending()
-        self._starvation_handle = None
-        runtime = self.runtime
-        for task, waited in runtime.dispatcher.reap_starved():
-            names = ", ".join(
-                impl.constraint.describe()
-                for impl in task.definition.all_candidates()
-            )
-            exc = ResourceStarvationError(task.label, names, waited)
-            task.attempt_history.append(f"starved for {waited:g}s: {exc}")
-            task.state = TaskState.FAILED
-            task.error = exc
-            runtime.journal_task_event(task, ckpt.FAILED, node="")
-            runtime.fail_descendants(task, self.now)
-        self._arm_starvation_watchdog()
-
-    # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
     def notify_submitted(self, task: TaskInvocation) -> None:
         # Lazy: the event loop runs inside wait_for (virtual time).
         pass
-
-    def notify_topology_change(self) -> None:
-        """Run a scheduling round now (node added / drained / rejoined)."""
-        self._dispatch()
 
     def _refresh_batching(self) -> None:
         """Recompute whether completions may defer their scheduling rounds.
@@ -681,38 +472,22 @@ class SimulatedExecutor(Executor):
         if not units:
             return
         assert self.runtime is not None
-        runtime = self.runtime
         self._units = []
-        self._check_drains()
-        for assignment in runtime.dispatcher.drain(units):
+        lifecycle = self.lifecycle
+        lifecycle.check_drains()
+        for assignment in self.runtime.dispatcher.drain(units):
             self._start(assignment)
-        self._arm_starvation_watchdog()
+        lifecycle.arm_starvation_watchdog()
 
-    def _dispatch(self) -> None:
-        """Incremental scheduling round over the runtime's dispatch engine.
-
-        Newly-ready tasks are folded into the per-constraint-class
-        queues; the engine probes only class heads and skips classes
-        whose capacity hasn't changed since they last failed to place.
-        Also the hook where drains complete (the round follows every
-        attempt-ending event) and where the starvation watchdog re-arms.
-        """
-        assert self.runtime is not None
-        runtime = self.runtime
-        self._drain_pending()
-        self._check_drains()
-        runtime.dispatcher.ingest(runtime.graph.pop_ready())
-        for assignment in runtime.dispatcher.schedule_round():
-            self._start(assignment)
-        self._arm_starvation_watchdog()
+    _flush = _drain_pending
 
     def _start(self, assignment: Assignment, speculative: bool = False) -> None:
         assert self.runtime is not None
         runtime = self.runtime
+        lifecycle = self.lifecycle
         task = assignment.task
         alloc = assignment.allocation
         node = alloc.node
-        node_spec = runtime.cluster.node(node)
         transfer, corrupt = self._prepare_inputs(task, node, speculative)
         if corrupt:
             # A corrupt input with no intact copy anywhere: hand the
@@ -720,348 +495,59 @@ class SimulatedExecutor(Executor):
             # and re-execute the writers through the lineage machinery.
             release_assignment(runtime.pool, assignment)
             runtime.recompute_corrupt(corrupt, extra_consumers=[task])
-            self.sim.schedule(0.0, self._dispatch, label=f"redispatch-{task.label}")
+            self.sim.schedule(0.0, lifecycle.dispatch, label=f"redispatch-{task.label}")
             return
-        task.state = TaskState.RUNNING
-        if not speculative:
-            task.node = node
-            if runtime.journal is not None:
-                runtime.journal_task_event(task, ckpt.STARTED, node=node)
+        attempt = lifecycle.begin(assignment, speculative)
         config = self._find_config(task)
         staging = self._staging_time(task, node, config) + transfer
-        duration = self._duration(task, node_spec, alloc, config)
-        injector = runtime.failure_injector
-        if injector is not None and not speculative:
-            # Straggler injection models node-local slowness: a backup
-            # attempt on a different node runs at modelled speed.
-            duration *= injector.slow_factor(task.label)
-        start = self.sim.now
-        attempt = _Attempt(assignment, start, speculative)
-        self._attempts.setdefault(task.task_id, []).append(attempt)
-        if runtime.tracer.enabled:
-            runtime.tracer.record_event(
-                start, "task_start", task.label, node
-            )
-        hang = (
-            injector is not None
-            and not speculative
-            and injector.should_hang(task.label, task.attempts)
-        )
+        duration = self._duration(task, runtime.cluster.node(node), alloc, config)
+        # Straggler injection models node-local slowness: a backup
+        # attempt on a different node runs at modelled speed.
+        hang, slow = lifecycle.injected(task, speculative)
         if not hang:
             # args-based dispatch: no per-task closure or f-string label
             # on the hot path (millions of these per large study).
             attempt.handle = self.sim.schedule(
-                staging + duration,
-                self._complete,
-                "complete",
-                (task.task_id, attempt),
+                staging + duration * slow, self._complete, "complete", (attempt,)
             )
-        timeout = runtime.config.task_timeout_s
-        if timeout is not None:
-            attempt.timeout_handle = self.sim.schedule(
-                float(timeout),
-                self._on_timeout,
-                "timeout",
-                (task.task_id, attempt),
-            )
-        if not speculative and runtime.straggler is not None:
-            self._schedule_spec_check(task.task_id, attempt)
+        lifecycle.arm(attempt)
 
     # ------------------------------------------------------------------
-    # Completion / failure
+    # Completion
     # ------------------------------------------------------------------
-    def _complete(self, task_id: int, attempt: _Attempt) -> None:
+    def _complete(self, attempt: Attempt) -> None:
         assert self.runtime is not None
         runtime = self.runtime
-        if not self._detach(task_id, attempt):
+        lifecycle = self.lifecycle
+        if not lifecycle.detach(attempt):
             return
-        attempt.cancel_events()
         assignment = attempt.assignment
-        start = attempt.start
         task = assignment.task
-        node = assignment.allocation.node
-        injector = runtime.failure_injector
-        # Injected failures apply to primary attempts only: a speculative
-        # backup is a clean re-execution on a different node.
-        if (
-            injector is not None
-            and not attempt.speculative
-            and injector.should_fail(task.label, task.attempts)
-        ):
-            # Failure handling is ordered against scheduling rounds:
-            # replay any buffered completions before processing it.
-            self._drain_pending()
-            task.attempts += 1
-            exc = RuntimeError(f"injected failure for {task.label}")
-            self._record(task, assignment, start, self.now, success=False)
-            release_assignment(self.runtime.pool, assignment)
-            self.runtime.node_health.record_failure(node)
-            if self._siblings(task_id):
-                task.attempt_history.append(
-                    f"attempt {task.attempts} on {node}: {exc!r} -> "
-                    "backup still running"
-                )
-                return
-            self._after_failure(assignment, exc, force_other=False)
+        exc = lifecycle.injected_failure(task, attempt.speculative)
+        if exc is not None:
+            lifecycle.fail_detached(attempt, exc)
             return
-        if self._attempts.get(task_id):
-            # First finisher wins: cancel any still-racing attempts.
-            self._drain_pending()
-            for loser in self._attempts.pop(task_id, []):
-                loser.cancel_events()
-                release_assignment(self.runtime.pool, loser.assignment)
-                self.runtime.resilience.record(
-                    self.now, rsl.SPECULATION_CANCELLED, task.label,
-                    loser.assignment.allocation.node,
-                    detail=f"lost to attempt on {node}",
-                )
-        if attempt.speculative:
-            self.runtime.resilience.record(
-                self.now, rsl.SPECULATION_WON, task.label, node,
-                detail=f"backup finished first after {self.now - start:.1f}s",
-            )
+        lifecycle.win(attempt)
         result: Any = None
         if self.execute_bodies:
             args, kwargs = self.resolve_arguments(task)
             try:
                 result = assignment.implementation.func(*args, **kwargs)
             except BaseException as exc:  # noqa: BLE001 - route into fault handling
-                self._drain_pending()
-                task.attempts += 1
-                self._record(task, assignment, start, self.now, success=False)
-                release_assignment(self.runtime.pool, assignment)
-                self.runtime.node_health.record_failure(node)
-                self._after_failure(assignment, exc, force_other=False)
+                lifecycle.fail_detached(attempt, exc)
                 return
-        if self._eager_flush or self._draining:
-            self._record(task, assignment, start, self.now, success=True)
-            release_assignment(self.runtime.pool, assignment)
-            self.runtime.node_health.record_success(node)
-            if self.runtime.straggler is not None:
-                self.runtime.straggler.observe(
-                    task.definition.name, self.now - start
-                )
-            task.result = result
-            task.node = node
-            task.start_time, task.end_time = start, self.now
-            self.runtime.complete_task(task, result)
-            self._schedule_spec_checks_for_name(task.definition.name)
-            self._dispatch()
+        if self._eager_flush or lifecycle.draining:
+            lifecycle.complete(attempt, result)
             return
         # Batched fast path: record the completion now, but defer the
         # allocation release and the scheduling round into the next
         # engine drain.  The drain replays units in completion order, so
         # placements are byte-identical to the round-per-event path.
         task.result = result
-        task.node = node
-        task.start_time, task.end_time = start, self.sim.now
+        task.node = assignment.allocation.node
+        task.start_time, task.end_time = attempt.start, self.sim.now
         runtime.complete_task(task, result)
         self._units.append((assignment, runtime.graph.pop_ready()))
-
-    def _on_timeout(self, task_id: int, attempt: _Attempt) -> None:
-        """A deadline fired: kill the attempt and treat it as a failure."""
-        assert self.runtime is not None
-        self._drain_pending()
-        if not self._detach(task_id, attempt):
-            return
-        attempt.cancel_events()
-        assignment = attempt.assignment
-        task = assignment.task
-        node = assignment.allocation.node
-        timeout = self.runtime.config.task_timeout_s
-        task.attempts += 1
-        exc = TaskTimeoutError(
-            f"task {task.label} exceeded its {timeout}s deadline on {node}"
-        )
-        self._record(task, assignment, attempt.start, self.now, success=False)
-        release_assignment(self.runtime.pool, assignment)
-        self.runtime.resilience.record(
-            self.now, rsl.TIMEOUT, task.label, node,
-            detail=f"deadline {float(timeout):.0f}s",
-        )
-        self.runtime.node_health.record_failure(node, kind="timeout")
-        if self._siblings(task_id):
-            task.attempt_history.append(
-                f"attempt {task.attempts} on {node}: {exc!r} -> "
-                "backup still running"
-            )
-            return
-        self._after_failure(assignment, exc, force_other=False)
-
-    # ------------------------------------------------------------------
-    # Speculative re-execution
-    # ------------------------------------------------------------------
-    def _schedule_spec_check(self, task_id: int, attempt: _Attempt) -> None:
-        """Arm a straggler check for ``attempt`` if a median is known."""
-        assert self.runtime is not None
-        detector = self.runtime.straggler
-        if detector is None or attempt.speculative or attempt.spec_check:
-            return
-        assignment = attempt.assignment
-        if assignment.extra_allocations:
-            return  # multinode tasks are not speculated
-        threshold = detector.threshold(assignment.task.definition.name)
-        if threshold is None:
-            return
-        attempt.spec_check = self.sim.schedule_at(
-            max(self.now, attempt.start + threshold),
-            lambda: self._spec_check(task_id, attempt),
-            label=f"spec-check-{assignment.task.label}",
-        )
-
-    def _schedule_spec_checks_for_name(self, name: str) -> None:
-        """A completion updated ``name``'s median: arm checks on its peers."""
-        assert self.runtime is not None
-        detector = self.runtime.straggler
-        if detector is None or detector.threshold(name) is None:
-            return
-        for task_id, attempts in list(self._attempts.items()):
-            if len(attempts) != 1:
-                continue
-            attempt = attempts[0]
-            if attempt.assignment.task.definition.name == name:
-                self._schedule_spec_check(task_id, attempt)
-
-    def _spec_check(self, task_id: int, attempt: _Attempt) -> None:
-        """Decide whether a running attempt is a straggler; maybe back it up."""
-        assert self.runtime is not None
-        self._drain_pending()
-        attempt.spec_check = None
-        attempts = self._attempts.get(task_id)
-        if not attempts or attempt not in attempts or len(attempts) > 1:
-            return
-        detector = self.runtime.straggler
-        if detector is None:
-            return
-        task = attempt.assignment.task
-        threshold = detector.threshold(task.definition.name)
-        if threshold is None:
-            return
-        elapsed = self.now - attempt.start
-        if elapsed < threshold:
-            # Median grew since this check was armed; re-arm at the new
-            # threshold (strictly in the future, so this terminates).
-            attempt.spec_check = self.sim.schedule_at(
-                attempt.start + threshold,
-                lambda: self._spec_check(task_id, attempt),
-                label=f"spec-check-{task.label}",
-            )
-            return
-        impl = attempt.assignment.implementation
-        origin = attempt.assignment.allocation.node
-        pool = self.runtime.pool
-        others = [
-            w.name for w in pool.available_workers() if w.name != origin
-        ]
-        if not others:
-            return
-        alloc = pool.try_allocate(impl.constraint, preferred=others)
-        if alloc is None:
-            return
-        if alloc.node == origin:
-            pool.release(alloc)
-            return
-        self.runtime.resilience.record(
-            self.now, rsl.SPECULATION_LAUNCHED, task.label, alloc.node,
-            detail=f"running {elapsed:.1f}s > {threshold:.1f}s threshold "
-            f"on {origin}",
-        )
-        self._start(Assignment(task, alloc, impl), speculative=True)
-
-    # ------------------------------------------------------------------
-    # Retry policy application
-    # ------------------------------------------------------------------
-    def _after_failure(
-        self,
-        assignment: Assignment,
-        exc: BaseException,
-        force_other: bool,
-    ) -> None:
-        """Apply the retry policy (with backoff) after a failed attempt.
-
-        ``force_other`` skips the same-node retry (the node is gone).
-        The attempt's allocation has already been released (or is stranded
-        on a failed node, which the pool resets on recovery).
-        """
-        assert self.runtime is not None
-        task = assignment.task
-        node = assignment.allocation.node
-        action = self.runtime.retry_policy.decide(task)
-        if action == FaultAction.RETRY_SAME_NODE and force_other:
-            action = FaultAction.RESUBMIT_OTHER_NODE
-        task.attempt_history.append(
-            f"attempt {task.attempts} on {node}: {exc!r} -> {action.value}"
-        )
-        _log.info(
-            "t=%.1f task %s failed (attempt %d): %s -> %s",
-            self.now, task.label, task.attempts, exc, action.value,
-        )
-        if action == FaultAction.GIVE_UP:
-            task.state = TaskState.FAILED
-            task.error = exc
-            self.runtime.journal_task_event(task, ckpt.FAILED, node=node)
-            self.runtime.fail_descendants(task, self.now)
-            return
-        delay = self.runtime.retry_policy.backoff_delay(task.label, task.attempts)
-        if delay > 0.0:
-            self.runtime.resilience.record(
-                self.now, rsl.BACKOFF_WAIT, task.label, node,
-                detail=f"{delay:.2f}s before {action.value}",
-            )
-        if action == FaultAction.RETRY_SAME_NODE:
-            retry = lambda: self._retry_same_node(task, assignment)  # noqa: E731
-        else:
-            retry = lambda: self._requeue_for_other(task, assignment)  # noqa: E731
-        if delay > 0.0:
-            self.sim.schedule(delay, retry, label=f"backoff-{task.label}")
-        else:
-            retry()
-
-    def _retry_same_node(self, task: TaskInvocation, assignment: Assignment) -> None:
-        """Reacquire the same node's resources and rerun there."""
-        assert self.runtime is not None
-        self._drain_pending()
-        alloc = self.runtime.pool.try_allocate(
-            assignment.implementation.constraint,
-            preferred=[assignment.allocation.node],
-        )
-        if alloc is None or alloc.node != assignment.allocation.node:
-            if alloc is not None:
-                self.runtime.pool.release(alloc)
-            self._requeue_for_other(task, assignment)
-            return
-        self._start(Assignment(task, alloc, assignment.implementation))
-
-    def _requeue_for_other(self, task: TaskInvocation, assignment: Assignment) -> None:
-        assert self.runtime is not None
-        self._drain_pending()
-        task.failed_nodes.append(assignment.allocation.node)
-        task.state = TaskState.READY
-        self.runtime.graph.requeue([task])
-        self._dispatch()
-
-    def _record(
-        self, task: TaskInvocation, assignment: Assignment, start, end, success
-    ) -> None:
-        assert self.runtime is not None
-        if not self.runtime.tracer.enabled:
-            # Zero-cost when tracing is off: no TaskRecord construction,
-            # no buffer append on the fast path.
-            return
-        for alloc in assignment.all_allocations:
-            self.runtime.tracer.record_task(
-                TaskRecord(
-                    task_label=task.label,
-                    task_name=task.definition.name,
-                    node=alloc.node,
-                    cpu_ids=alloc.cpu_ids,
-                    gpu_ids=alloc.gpu_ids,
-                    start=start,
-                    end=end,
-                    success=success,
-                    attempt=task.attempts,
-                )
-            )
 
     # ------------------------------------------------------------------
     # Synchronisation (virtual time)
@@ -1069,7 +555,7 @@ class SimulatedExecutor(Executor):
     def wait_for(self, tasks: Sequence[TaskInvocation]) -> None:
         self._refresh_batching()
         self._ensure_node_failures_scheduled()
-        self._dispatch()
+        self.lifecycle.dispatch()
 
         # Amortised completion tracking: re-scanning every awaited task
         # after every event is O(n²) for n-task studies.  Instead keep the
@@ -1137,13 +623,5 @@ class SimulatedExecutor(Executor):
 
     def shutdown(self) -> None:
         self._units.clear()
-        for attempts in self._attempts.values():
-            for attempt in attempts:
-                attempt.cancel_events()
-        self._attempts.clear()
-        for handle in self._draining.values():
-            handle.cancel()
-        self._draining.clear()
-        if self._starvation_handle is not None:
-            self._starvation_handle.cancel()
-            self._starvation_handle = None
+        if self.lifecycle is not None:
+            self.lifecycle.close()

@@ -3,25 +3,23 @@
 The thread backend cannot contain a hostile task body: a segfault, an
 OOM-kill, or ``os._exit`` takes the whole driver with it, and a
 genuinely wedged body keeps its thread forever (CPython threads cannot
-be killed).  The legacy ``ProcessPoolExecutor`` backend isolates bodies
-but not failures: one crash marks the shared pool broken and poisons
-every later submission.  This backend closes both gaps with the worker
-model the paper's runtime (and Tune/Hippo-style trial executors) relies
-on — **one long-lived worker process per slot**, each talking to the
-driver over its own duplex pipe, under a supervisor thread that owns the
-pool's lifecycle:
+be killed).  This backend closes both gaps with the worker model the
+paper's runtime (and Tune/Hippo-style trial executors) relies on — **one
+long-lived worker process per slot**, each talking to the driver over
+its own duplex pipe, under a supervisor thread that owns the pool's
+lifecycle.  It differs from :class:`~repro.runtime.executor.local.
+LocalExecutor` only in *where bodies run*; retries, deadlines and
+speculation are the shared attempt lifecycle's.
 
 * **Crash containment** — a worker that dies mid-task (segfault, OOM,
   ``sys.exit``/``os._exit``, external ``SIGKILL``) is detected via its
   process sentinel, the in-flight attempt becomes a retryable
-  :class:`~repro.runtime.fault.WorkerCrashError` fed through the normal
-  ``RetryPolicy``/``NodeHealth`` machinery, a replacement worker is
-  spawned, and every other slot keeps running.
-* **Hard-kill deadlines** — with ``task_timeout_s`` set, a body still
-  running at the deadline gets its worker ``SIGKILL``-ed and respawned:
-  the attempt is a retryable ``TaskTimeoutError`` and *no* abandoned
-  thread or process survives (the thread backend's documented
-  limitation, finally fixed).
+  :class:`~repro.runtime.fault.WorkerCrashError`, a replacement worker
+  is spawned, and every other slot keeps running.
+* **Hard-kill deadlines** — when the lifecycle drops an attempt whose
+  body is still running (its ``task_timeout_s`` deadline passed, or a
+  backup won the race), the worker running it is ``SIGKILL``-ed and
+  respawned: *no* abandoned thread or process survives.
 * **Poison-task quarantine** — a task that kills ``poison_threshold``
   consecutive workers is blacklisted: further attempts raise a terminal
   :class:`~repro.runtime.fault.PoisonTaskError` (straight to GIVE_UP)
@@ -31,13 +29,12 @@ pool's lifecycle:
   leak accumulation over multi-day studies.
 
 IPC protocol (pipe per worker; parent → child ``task``/``stop``,
-child → parent ``ready``/``ack``/``heartbeat``/``done``/``error``): the
-child acks each task before running it (deadlines measure body time, not
-queue time), a daemon thread heartbeats every ``heartbeat_s`` so the
-supervisor can tell *alive-and-wedged* from *dead*, and results/errors
-travel back pickled.  Task functions are shipped by reference
-(``module:qualname``, unwrapping ``@task`` wrappers via
-``__wrapped__``) with a plain-pickle fast path.
+child → parent ``ready``/``heartbeat``/``done``/``error``): a daemon
+thread heartbeats every ``heartbeat_s`` so the supervisor can tell
+*alive-and-wedged* from *dead*, and results/errors travel back
+pickled.  Task functions are shipped by reference (``module:qualname``,
+unwrapping ``@task`` wrappers via ``__wrapped__``) with a plain-pickle
+fast path.
 
 Crash consistency: a crashed attempt is journalled as ``failed`` — a
 ``completed`` record is only ever written by the driver *after* the
@@ -65,16 +62,9 @@ from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.runtime import checkpoint as ckpt
 from repro.runtime import resilience as rsl
-from repro.runtime.executor.local import LocalExecutor
-from repro.runtime.fault import (
-    FaultAction,
-    PoisonTaskError,
-    TaskTimeoutError,
-    WorkerCrashError,
-)
-from repro.runtime.resources import Allocation
-from repro.runtime.scheduler.base import Assignment
-from repro.runtime.task_definition import TaskInvocation
+from repro.runtime.executor.lifecycle import Attempt
+from repro.runtime.executor.local import _HUNG, LocalExecutor
+from repro.runtime.fault import PoisonTaskError, WorkerCrashError
 from repro.util.logging_utils import get_logger
 from repro.util.validation import check_positive
 
@@ -140,7 +130,7 @@ def _decode_exc(blob: Tuple) -> BaseException:
 # Worker child process
 # ----------------------------------------------------------------------
 def _worker_main(conn, heartbeat_s: float) -> None:
-    """Long-lived worker loop: recv task → ack → run → send result.
+    """Long-lived worker loop: recv task → run → send result.
 
     ``Exception`` from a body is *contained* (reported back, worker keeps
     serving); ``BaseException`` (``sys.exit``, ``KeyboardInterrupt``) is
@@ -200,7 +190,6 @@ def _worker_main(conn, heartbeat_s: float) -> None:
             if msg[0] == "stop":
                 break
             _, seq, func_blob, args, kwargs, hang, slow = msg
-            _send(("ack", seq))
             if hang:
                 # Injected wedge: sleep until the supervisor SIGKILLs us.
                 while True:
@@ -271,8 +260,8 @@ class _Worker:
 
     __slots__ = (
         "wid", "process", "conn", "send_lock", "state", "pending", "seq",
-        "task_label", "node", "busy_since", "body_started", "tasks_done",
-        "last_heartbeat", "kill_reason", "pid",
+        "task_label", "node", "tasks_done",
+        "last_heartbeat", "kill_reason", "pid", "attempt",
     )
 
     def __init__(self, wid: int, process, conn) -> None:
@@ -285,21 +274,19 @@ class _Worker:
         self.seq = 0
         self.task_label = ""
         self.node = ""
-        self.busy_since: Optional[float] = None
-        self.body_started: Optional[float] = None
         self.tasks_done = 0
         self.last_heartbeat: Optional[float] = None
         self.kill_reason: Optional[str] = None
         self.pid: Optional[int] = process.pid
+        self.attempt: Optional[Attempt] = None
 
 
 class WorkerPoolExecutor(LocalExecutor):
     """Supervised worker-pool variant of the local executor.
 
-    Inherits the dispatch/retry/speculation/tracing machinery from
-    :class:`LocalExecutor` and replaces only *where bodies run*: each
-    attempt is shipped to a dedicated long-lived worker process instead
-    of an in-driver thread.
+    Inherits everything from :class:`LocalExecutor` but *where bodies
+    run*: each attempt is shipped to a dedicated long-lived worker
+    process instead of running in the submitting thread.
 
     Parameters
     ----------
@@ -321,7 +308,7 @@ class WorkerPoolExecutor(LocalExecutor):
         ``spawn``.
     """
 
-    #: Supervisor poll interval: bounds deadline-kill latency.
+    #: Supervisor poll interval: bounds crash-detection latency.
     SUPERVISOR_POLL_S = 0.05
 
     def __init__(
@@ -332,8 +319,9 @@ class WorkerPoolExecutor(LocalExecutor):
         heartbeat_s: float = 1.0,
         start_method: Optional[str] = None,
     ):
-        super().__init__(backend="threads", max_parallel=max_parallel)
+        super().__init__(max_parallel=max_parallel)
         self.backend = "workers"
+        self._stop_event = threading.Event()
         if max_tasks_per_worker is not None:
             check_positive("max_tasks_per_worker", max_tasks_per_worker)
         check_positive("poison_threshold", poison_threshold)
@@ -360,8 +348,9 @@ class WorkerPoolExecutor(LocalExecutor):
     # ------------------------------------------------------------------
     # Pool lifecycle
     # ------------------------------------------------------------------
-    def _bind_backend(self, n: int) -> None:
-        for _ in range(n):
+    def bind(self, runtime) -> None:
+        super().bind(runtime)
+        for _ in range(self._slots):
             self._spawn_worker()
         self._supervisor = threading.Thread(
             target=self._supervise, name="repro-pool-supervisor", daemon=True
@@ -389,44 +378,23 @@ class WorkerPoolExecutor(LocalExecutor):
     # ------------------------------------------------------------------
     # Body execution (submitter threads)
     # ------------------------------------------------------------------
-    def _execute_body(
-        self,
-        task: TaskInvocation,
-        assignment: Assignment,
-        alloc: Allocation,
-        speculative: bool = False,
-    ):
+    def _execute_body(self, attempt: Attempt, hang: bool, slow: float):
         assert self.runtime is not None
+        task = attempt.assignment.task
         label = task.label
+        node = attempt.assignment.allocation.node
         if self._stop_event.is_set():
             raise WorkerCrashError(label, "worker pool shutting down")
         with self._pool_lock:
             if label in self._poisoned:
                 deaths = self._deaths.get(label, 0)
                 raise PoisonTaskError(label, deaths, self.poison_threshold)
-        injector = self.runtime.failure_injector
-        if (
-            injector is not None
-            and not speculative
-            and injector.should_fail(task.label, task.attempts)
-        ):
-            raise RuntimeError(
-                f"injected failure for {task.label} attempt {task.attempts}"
-            )
-        hang = bool(
-            injector is not None
-            and not speculative
-            and injector.should_hang(task.label, task.attempts)
-        )
-        slow = (
-            injector.slow_factor(task.label)
-            if injector is not None and not speculative
-            else 1.0
-        )
         args, kwargs = self.resolve_arguments(task)
-        func_blob = _encode_func(assignment.implementation.func)
+        func_blob = _encode_func(attempt.assignment.implementation.func)
         pending = _PendingCall()
-        worker = self._acquire_worker(pending, label, alloc.node)
+        worker = self._acquire_worker(pending, attempt, node)
+        if worker is None:
+            return _HUNG  # dropped while waiting for a worker
         worker.seq += 1
         try:
             with worker.send_lock:
@@ -458,26 +426,57 @@ class WorkerPoolExecutor(LocalExecutor):
         if pending.outcome == "crash":
             # Journal the attempt as failed so a driver resume re-runs it
             # — a crash can never appear as a (torn) completion.
-            self.runtime.journal_task_event(task, ckpt.FAILED, node=alloc.node)
+            self.runtime.journal_task_event(task, ckpt.FAILED, node=node)
         assert pending.exc is not None
         raise pending.exc
 
+    def _abandon(self, attempt: Attempt, reason: str) -> None:
+        """Hard-kill the worker still running a dropped attempt."""
+        with self._pool_cond:
+            victims = [
+                (w, w.task_label, w.node) for w in self._pool_workers
+                if w.attempt is attempt and w.state == _Worker.BUSY
+                and w.kill_reason is None
+            ]
+            for worker, _, _ in victims:
+                worker.kill_reason = reason
+        why = (
+            f"at the {self.runtime.config.task_timeout_s}s deadline"
+            if reason == "deadline"
+            else "attempt cancelled"
+        )
+        for worker, label, node in victims:
+            _log.info("hard-killing worker pid %s running %s (%s)",
+                      worker.pid, label, reason)
+            worker.process.kill()
+            self.runtime.resilience.record(
+                self.clock(), rsl.WORKER_KILLED, label, node,
+                detail=f"hard-killed {why} (pid {worker.pid})",
+            )
+
     def _acquire_worker(
-        self, pending: _PendingCall, label: str, node: str
-    ) -> _Worker:
-        """Block until an idle worker is available and claim it."""
+        self, pending: _PendingCall, attempt: Attempt, node: str
+    ) -> Optional[_Worker]:
+        """Block until an idle worker is available and claim it.
+
+        Returns None if the lifecycle dropped ``attempt`` meanwhile: its
+        deadline may already have passed, and ``_abandon`` only kills
+        workers that hold an attempt.
+        """
+        label = attempt.assignment.task.label
         with self._pool_cond:
             while True:
                 if self._stop_event.is_set():
                     raise WorkerCrashError(label, "worker pool shutting down")
+                if not attempt.live:
+                    return None
                 if self._idle:
                     worker = self._idle.popleft()
                     worker.state = _Worker.BUSY
                     worker.pending = pending
+                    worker.attempt = attempt
                     worker.task_label = label
                     worker.node = node
-                    worker.busy_since = time.monotonic()
-                    worker.body_started = None
                     worker.kill_reason = None
                     return worker
                 self._pool_cond.wait(0.1)
@@ -488,18 +487,12 @@ class WorkerPoolExecutor(LocalExecutor):
             if worker.state != _Worker.BUSY:
                 return
             worker.pending = None
+            worker.attempt = None
             worker.task_label = ""
             worker.node = ""
-            worker.busy_since = None
-            worker.body_started = None
             worker.state = _Worker.IDLE
             self._idle.append(worker)
             self._pool_cond.notify_all()
-
-    def _decide_action(self, task: TaskInvocation, exc: BaseException) -> FaultAction:
-        if isinstance(exc, PoisonTaskError):
-            return FaultAction.GIVE_UP
-        return super()._decide_action(task, exc)
 
     # ------------------------------------------------------------------
     # Supervisor thread
@@ -541,7 +534,6 @@ class WorkerPoolExecutor(LocalExecutor):
             # completed task is never misreported as crashed.
             self._drain_messages(worker, now)
             self._on_worker_death(worker)
-        self._enforce_deadlines(now)
 
     def _drain_messages(self, worker: _Worker, now: float) -> None:
         while True:
@@ -562,8 +554,6 @@ class WorkerPoolExecutor(LocalExecutor):
                         self._pool_cond.notify_all()
             elif kind == "heartbeat":
                 worker.last_heartbeat = now
-            elif kind == "ack":
-                worker.body_started = now
             elif kind == "done":
                 self._on_task_result(worker, value=msg[2], exc=None)
             elif kind == "error":
@@ -576,10 +566,9 @@ class WorkerPoolExecutor(LocalExecutor):
             pending = worker.pending
             label = worker.task_label
             worker.pending = None
+            worker.attempt = None
             worker.task_label = ""
             worker.node = ""
-            worker.busy_since = None
-            worker.body_started = None
             worker.tasks_done += 1
             if label:
                 # A clean outcome (even a body error) proves the task
@@ -620,7 +609,7 @@ class WorkerPoolExecutor(LocalExecutor):
         except Exception:  # noqa: BLE001 - already gone; make sure
             worker.process.kill()
         self.runtime.resilience.record(
-            self._now(), rsl.WORKER_RECYCLED,
+            self.clock(), rsl.WORKER_RECYCLED,
             detail=(
                 f"pid {worker.pid} retired after {worker.tasks_done} tasks "
                 f"(max_tasks_per_worker={self.max_tasks_per_worker})"
@@ -644,17 +633,14 @@ class WorkerPoolExecutor(LocalExecutor):
                 self._dead.append(worker)
             pending = worker.pending
             worker.pending = None
+            worker.attempt = None
             label = worker.task_label
             node = worker.node
             deaths = 0
             poisoned = False
-            if (
-                pending is not None
-                and label
-                and worker.kill_reason != "deadline"
-            ):
-                # Deadline hard-kills are driver-initiated and already
-                # handled by the timeout retry path; only genuine crashes
+            if pending is not None and label and worker.kill_reason is None:
+                # Hard-kills of dropped attempts are driver-initiated and
+                # already handled by the lifecycle; only genuine crashes
                 # count toward the poison threshold.
                 deaths = self._deaths.get(label, 0) + 1
                 self._deaths[label] = deaths
@@ -665,7 +651,7 @@ class WorkerPoolExecutor(LocalExecutor):
         if was_retiring:
             # A recycled worker exiting is the expected drain, not a crash.
             return
-        now = self._now()
+        now = self.clock()
         detail = f"pid {worker.pid} exitcode {exitcode}"
         if pending is None:
             self.runtime.resilience.record(
@@ -673,16 +659,10 @@ class WorkerPoolExecutor(LocalExecutor):
                 detail=f"idle worker died ({detail}); respawned",
             )
             exc: Optional[BaseException] = None
-        elif worker.kill_reason == "deadline":
-            timeout = self.runtime.config.task_timeout_s
-            self.runtime.resilience.record(
-                now, rsl.WORKER_KILLED, label, node,
-                detail=f"hard-killed at the {timeout}s deadline ({detail})",
-            )
-            exc = TaskTimeoutError(
-                f"task {label} exceeded its {timeout}s deadline on {node}; "
-                f"worker pid {worker.pid} hard-killed"
-            )
+        elif worker.kill_reason is not None:
+            # A hard-kill of an attempt the lifecycle already dropped
+            # (recorded by ``_abandon``): its outcome is discarded.
+            exc = WorkerCrashError(label, f"hard-killed ({worker.kill_reason})")
         else:
             self.runtime.resilience.record(
                 now, rsl.WORKER_CRASH, label, node,
@@ -706,30 +686,6 @@ class WorkerPoolExecutor(LocalExecutor):
             self._spawn_worker()
         if pending is not None and exc is not None:
             pending.resolve("crash", exc=exc)
-
-    def _enforce_deadlines(self, now: float) -> None:
-        assert self.runtime is not None
-        timeout = self.runtime.config.task_timeout_s
-        if timeout is None:
-            return
-        with self._pool_cond:
-            overdue = [
-                w
-                for w in self._pool_workers
-                if w.state == _Worker.BUSY
-                and w.pending is not None
-                and w.kill_reason is None
-                and (w.body_started or w.busy_since) is not None
-                and now - (w.body_started or w.busy_since) > timeout
-            ]
-            for worker in overdue:
-                worker.kill_reason = "deadline"
-        for worker in overdue:
-            _log.info(
-                "hard-killing worker pid %s: task %s exceeded %ss deadline",
-                worker.pid, worker.task_label, timeout,
-            )
-            worker.process.kill()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -767,15 +723,13 @@ class WorkerPoolExecutor(LocalExecutor):
     # Shutdown
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        with self._lock:
-            self._shutdown = True
+        if self.lifecycle is not None:
+            # First: the attempts the stop interrupts are not failures.
+            self.lifecycle.close()
         self._stop_event.set()
         with self._pool_cond:
             self._pool_cond.notify_all()
-        if self._watchdog is not None:
-            self._watchdog.join(timeout=2.0)
-        if self._threads is not None:
-            self._threads.shutdown(wait=True)
+        super().shutdown()
         if self._supervisor is not None:
             self._supervisor.join(timeout=5.0)
         self._drain_pool()

@@ -6,8 +6,8 @@ restarted in another node. … The failure of a task does not affect the
 other tasks unless there are some dependencies."
 
 :class:`RetryPolicy` encodes that two-stage behaviour with configurable
-budgets; the executors consult :meth:`decide` after every failed attempt.
-On top of the paper's scheme the policy carries an exponential-backoff
+budgets; the attempt lifecycle consults :meth:`decide` after every failed
+attempt.  On top of the paper's scheme the policy carries an exponential-backoff
 schedule with deterministic seeded jitter: the wait before attempt *k* is
 a pure function of ``(task_label, k, backoff_seed)``, so retry timing is
 bit-reproducible regardless of execution order.
@@ -116,8 +116,8 @@ class RetryPolicy:
 class TaskTimeoutError(RuntimeError):
     """A task attempt exceeded its deadline (``task_timeout_s``).
 
-    Raised *internally* by the executors to convert a hung attempt into a
-    retryable failure; it surfaces to the user (inside
+    Raised *internally* by the attempt lifecycle to convert a hung attempt
+    into a retryable failure; it surfaces to the user (inside
     :class:`TaskFailedError`) only when the retry budget is exhausted.
     """
 

@@ -11,7 +11,7 @@ checkpoint spill is loaded (see :mod:`repro.runtime.checkpoint`).
 
 Two sealing modes, matching the two executor families:
 
-* **local** (threads / processes / workers): the checksum is a digest of
+* **local** (threads / workers): the checksum is a digest of
   the real pickled result bytes.  The pickled snapshot models the wire
   image of the output; the live driver-memory object is the authoritative
   source, so a corrupt snapshot repairs by re-pickling it (the local
@@ -23,10 +23,10 @@ Two sealing modes, matching the two executor families:
   copy's digest; verification compares copies against the sealed value.
 
 On an unrepairable mismatch (no good copy anywhere) the escalation path
-is :func:`recover_corrupt_versions`: invalidate the writer's versions
-through the access processor, invalidate its futures, and re-enter the
-writer (plus any consumers caught mid-flight) into the graph — the same
-minimal-lineage machinery node loss uses.
+is :meth:`~repro.runtime.runtime.COMPSsRuntime.recompute_corrupt`: drop
+the writer's seals and send it back through
+:func:`~repro.runtime.checkpoint.reexecute_writers`, the lineage
+re-execution routine node loss uses.
 
 Everything is counted (:meth:`IntegrityManager.stats`) so a study can
 state "N outputs verified, M repaired, 0 unverified reads".
@@ -38,17 +38,11 @@ import hashlib
 import pickle
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime import resilience as rsl
 from repro.runtime.access_processor import DataVersion
-from repro.runtime.task_definition import TaskInvocation, TaskState
-from repro.util.logging_utils import get_logger
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.runtime import COMPSsRuntime
-
-_log = get_logger("runtime.integrity")
+from repro.runtime.task_definition import TaskInvocation
 
 #: Sealing modes (which executor family produced the bytes).
 MODE_LOCAL = "local"
@@ -504,73 +498,3 @@ class IntegrityManager:
             f"({self.transfer_failures} exhausted), "
             f"{self.unverified_reads} unverified reads"
         )
-
-
-# ----------------------------------------------------------------------
-# Escalation: lineage recompute of corrupt writers
-# ----------------------------------------------------------------------
-def recover_corrupt_versions(
-    runtime: "COMPSsRuntime",
-    writers: Sequence[TaskInvocation],
-    extra_consumers: Sequence[TaskInvocation] = (),
-) -> List[str]:
-    """Re-execute ``writers`` whose outputs have no good copy left.
-
-    Mirrors node-loss lineage recovery
-    (:func:`repro.runtime.checkpoint.recover_lost_data`): the writers'
-    data versions are invalidated through the access processor, their
-    futures forget their values, RUNNING consumers that can be aborted
-    are, and the whole batch re-enters the graph.  ``extra_consumers``
-    are not-yet-running consumers the caller pulled back from dispatch
-    (the simulated executor passes the task whose input staging detected
-    the corruption).
-
-    Returns the invalidated version labels.
-    """
-    graph = runtime.graph
-    to_rerun: Dict[int, TaskInvocation] = {t.task_id: t for t in writers}
-    aborted: Dict[int, TaskInvocation] = {}
-    for t in to_rerun.values():
-        for s in graph.successors(t):
-            if (
-                s.state == TaskState.RUNNING
-                and s.task_id not in to_rerun
-                and s.task_id not in aborted
-                and runtime.executor.abort_task(s)
-            ):
-                aborted[s.task_id] = s
-    labels = sorted(
-        runtime.access.invalidate_versions_written_by(to_rerun.values())
-    )
-    integrity = runtime.integrity
-    for t in to_rerun.values():
-        if integrity is not None:
-            integrity.discard(t)
-        for fut in runtime.future_slots(t):
-            fut.invalidate()
-        t.result = None
-        t.start_time = t.end_time = None
-    batch = list(to_rerun.values())
-    for consumer in extra_consumers:
-        if consumer.task_id not in to_rerun and consumer.task_id not in aborted:
-            batch.append(consumer)
-    batch += list(aborted.values())
-    graph.invalidate(batch)
-    # Entries already handed to the dispatch engine cannot be removed
-    # from the graph's ready deque above; tombstone them.
-    runtime.dispatcher.purge([t for t in batch if t.state != TaskState.READY])
-    now = runtime.executor.clock()
-    for t in sorted(to_rerun.values(), key=lambda t: t.task_id):
-        runtime.resilience.record(
-            now, rsl.INTEGRITY_RECOMPUTE, t.label, t.node or "",
-            detail=f"no good copy of {','.join(t.writes) or t.label}; "
-            "re-executing writer",
-        )
-    if integrity is not None:
-        integrity.recomputes += len(to_rerun)
-    _log.info(
-        "integrity: %d corrupt version(s) unrepairable; re-executing "
-        "%d writer(s) (+%d aborted consumer(s))",
-        len(labels), len(to_rerun), len(aborted),
-    )
-    return labels

@@ -16,8 +16,8 @@ probe-back).  This module holds the executor-independent pieces:
   failure-rate quarantine, cool-down, and probation ("probe") re-entry.
 
 Timeout/backoff policy lives on :class:`repro.runtime.fault.RetryPolicy`
-and :class:`repro.runtime.config.RuntimeConfig`; the executors consume
-all of it.
+and :class:`repro.runtime.config.RuntimeConfig`; the attempt lifecycle
+(:mod:`repro.runtime.executor.lifecycle`) consumes all of it.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from repro.runtime.reuse import MISS as _CACHE_MISS, ReuseCache
 from repro.runtime.resilience import (
     CHECKPOINT_RESTORE,
     DRAIN_COMPLETE,
+    INTEGRITY_RECOMPUTE,
     NODE_DRAINING,
     NODE_REJOINED,
     STUDY_FAILED,
@@ -155,8 +156,8 @@ class COMPSsRuntime:
         self.pool.listener = self.dispatcher
         self.executor: Executor = self._make_executor()
         # Starvation watchdog wiring: the engine timestamps starved
-        # constraint classes in the executor's clock and the executors
-        # reap them after starvation_timeout_s.
+        # constraint classes in the executor's clock and the attempt
+        # lifecycle reaps them after starvation_timeout_s.
         self.dispatcher.clock = self.executor.clock
         self.dispatcher.resilience = self.resilience
         self.dispatcher.starvation_timeout_s = self.config.starvation_timeout_s
@@ -491,6 +492,20 @@ class COMPSsRuntime:
                         **({"cached": True} if cache_hit
                            else {"restored": True}),
                     )
+            for dead in dep_list:
+                if dead.state != TaskState.FAILED:
+                    continue
+                # A producer already failed terminally, so this consumer
+                # can never become ready: fail it now, blaming the root.
+                if isinstance(dead.error, UpstreamFailureError):
+                    upstream = dead.error.upstream_label
+                    cause = dead.error.upstream_cause
+                else:
+                    upstream, cause = dead.label, dead.error or RuntimeError("unknown")
+                self._cancel_downstream(
+                    [invocation], upstream, cause, self.executor.clock()
+                )
+                break
         # Attach to any open TaskGroup (selective barriers).
         record_submission(invocation)
         if invocation.task_id & 0xFFF == 0:
@@ -767,11 +782,35 @@ class COMPSsRuntime:
     def recompute_corrupt(self, writers, extra_consumers=()) -> List[str]:
         """Re-execute writers whose outputs have no intact copy left.
 
-        Returns the labels of the invalidated data versions (see
-        :func:`repro.runtime.integrity.recover_corrupt_versions`).
+        The writers' seals are dropped and they go back through lineage
+        re-execution (:func:`repro.runtime.checkpoint.reexecute_writers`);
+        ``extra_consumers`` are not-yet-running consumers the caller
+        pulled back from dispatch (the simulated executor passes the task
+        whose input staging detected the corruption).  Returns the labels
+        of the invalidated data versions.
         """
         with self.lock:
-            return igr.recover_corrupt_versions(self, writers, extra_consumers)
+            writers = list({t.task_id: t for t in writers}.values())
+            integrity = self.integrity
+            if integrity is not None:
+                for t in writers:
+                    integrity.discard(t)
+            labels, aborted = ckpt.reexecute_writers(self, writers, extra_consumers)
+            now = self.executor.clock()
+            for t in sorted(writers, key=lambda t: t.task_id):
+                self.resilience.record(
+                    now, INTEGRITY_RECOMPUTE, t.label, t.node or "",
+                    detail=f"no good copy of {','.join(t.writes) or t.label}; "
+                    "re-executing writer",
+                )
+            if integrity is not None:
+                integrity.recomputes += len(writers)
+            _log.info(
+                "integrity: %d corrupt version(s) unrepairable; re-executing "
+                "%d writer(s) (+%d aborted consumer(s))",
+                len(labels), len(writers), aborted,
+            )
+            return labels
 
     def journal_task_event(
         self, task: TaskInvocation, kind: str, node: str = ""
@@ -795,7 +834,7 @@ class COMPSsRuntime:
     ) -> List[TaskInvocation]:
         """Cancel every unfinished transitive consumer of a dead task.
 
-        Called by the executors when ``task`` fails *terminally* (retry
+        Called by the attempt lifecycle when ``task`` fails *terminally* (retry
         budget exhausted, or reaped by the starvation watchdog).  Its
         consumers can never become ready — without this they would sit
         in SUBMITTED forever and ``wait_for`` would hang (simulated: a
@@ -803,22 +842,30 @@ class COMPSsRuntime:
         failure.  Each victim fails with :class:`UpstreamFailureError`
         chained to the producer's error.
         """
-        cause = task.error or RuntimeError("unknown")
-        victims: List[TaskInvocation] = []
         with self.lock:
-            for dep in self.graph.descendants(task):
-                if dep.state in (TaskState.DONE, TaskState.FAILED):
-                    continue
-                exc = UpstreamFailureError(dep.label, task.label, cause)
-                dep.attempt_history.append(f"cancelled: {exc}")
-                dep.state = TaskState.FAILED
-                dep.error = exc
-                self.journal_task_event(dep, ckpt.FAILED, node="")
-                self.resilience.record(
-                    now, UPSTREAM_CANCELLED, dep.label, "",
-                    detail=f"producer {task.label} failed terminally",
-                )
-                victims.append(dep)
+            return self._cancel_downstream(
+                self.graph.descendants(task), task.label,
+                task.error or RuntimeError("unknown"), now,
+            )
+
+    def _cancel_downstream(
+        self, tasks, upstream: str, cause: BaseException, now: float
+    ) -> List[TaskInvocation]:
+        """Fail the unfinished ``tasks``: ``upstream`` failed terminally."""
+        victims: List[TaskInvocation] = []
+        for dep in tasks:
+            if dep.state in (TaskState.DONE, TaskState.FAILED):
+                continue
+            exc = UpstreamFailureError(dep.label, upstream, cause)
+            dep.attempt_history.append(f"cancelled: {exc}")
+            dep.state = TaskState.FAILED
+            dep.error = exc
+            self.journal_task_event(dep, ckpt.FAILED, node="")
+            self.resilience.record(
+                now, UPSTREAM_CANCELLED, dep.label, "",
+                detail=f"producer {upstream} failed terminally",
+            )
+            victims.append(dep)
         return victims
 
     # ------------------------------------------------------------------
@@ -980,9 +1027,9 @@ class COMPSsRuntime:
         entries in the dispatch engine, and records one ``study_failed``
         resilience event (``kind`` selects ``study_cancelled`` for
         tenant-initiated cancellation).  Running attempts of the study
-        resolve quietly: the executors' completion paths discard results
-        for tasks that are no longer RUNNING.  Returns the number of
-        tasks cancelled.
+        are aborted through the attempt lifecycle: their resources go
+        back to the pool and their late outcomes are discarded.  Returns
+        the number of tasks cancelled.
         """
         now = self.executor.clock()
         victims: List[TaskInvocation] = []
@@ -992,6 +1039,8 @@ class COMPSsRuntime:
                     continue
                 if task.state in (TaskState.DONE, TaskState.FAILED):
                     continue
+                if task.state == TaskState.RUNNING:
+                    self.executor.lifecycle.abort_task(task)
                 exc = StudyAbandonedError(task.label, study_id, reason)
                 task.attempt_history.append(f"study abandoned: {exc}")
                 task.state = TaskState.FAILED
@@ -1050,7 +1099,7 @@ class COMPSsRuntime:
                     if not outcome.ok:
                         bad.append(task)
                 if bad:
-                    igr.recover_corrupt_versions(self, bad)
+                    self.recompute_corrupt(bad)
             if not bad:
                 return
             self.executor.notify_topology_change()
@@ -1138,7 +1187,7 @@ class COMPSsRuntime:
             detail=f"deadline_s={deadline:g} spilled={spilled}"
             + (f" suspended={suspended}" if suspended else ""),
         )
-        self.executor.drain_node(name, deadline)
+        self.executor.lifecycle.drain_node(name, deadline)
 
     def pause_study_dispatch(self, study_id: str) -> bool:
         """Stop placing a study's queued tasks (suspend-in-progress)."""

@@ -122,6 +122,10 @@ class DiscreteEventSimulator:
         heapq.heappush(self._heap, (time, handle.seq, handle))
         return handle
 
+    #: Clock interface shared with the wall clock of the local executors
+    #: (:class:`repro.runtime.executor.lifecycle.WallClock`).
+    call_at = schedule_at
+
     def step(self) -> bool:
         """Fire the next pending event.  Returns False when queue is empty."""
         while self._heap:

@@ -522,6 +522,61 @@ class TestLineageRecovery:
         assert sum(PRODUCE_CALLS.values()) == 6
 
 
+class TestLineageKeepsQueuedConsumersWaiting:
+    """A consumer queued behind a full pool when its producer's data is
+    lost must wait for the producer's re-execution, not start on the
+    lost input."""
+
+    def test_queued_consumer_waits_for_recomputed_producer(self):
+        PRODUCE_CALLS.clear()
+        nodes = [
+            NodeSpec(name=name, cpu_cores=4, memory_gb=16, labels={"role": name})
+            for name in ("a", "b")
+        ]
+        durations = {"produce": 10.0, "consume": 5.0, "block_a": 1000.0,
+                     "block_b": 100.0}
+        plan = FailurePlan().fail_node("a", time=50.0, recovery_time=300.0)
+        cfg = RuntimeConfig(
+            cluster=ClusterSpec(name="ab", nodes=nodes),
+            executor="simulated",
+            execute_bodies=True,
+            failure_injector=FailureInjector(plan),
+            starvation_timeout_s=None,
+            duration_fn=lambda t, s, a: durations[t.definition.name],
+        )
+
+        def on(role, name, func):
+            return TaskDefinition(
+                func=func, name=name, returns=int, n_returns=1,
+                constraint=ResourceConstraint(
+                    cpu_units=4, node_labels={"role": role}
+                ),
+            )
+
+        rt = COMPSsRuntime(cfg).start()
+        try:
+            # t=0: the producer runs on a, a blocker fills b.  t=10: the
+            # producer is DONE, a second blocker takes a, and the consumer
+            # queues behind the full pool.  t=50: a dies with the
+            # producer's output.  t=100: b frees while the producer still
+            # waits for a to return (t=300).
+            p = rt.submit(on("a", "produce", produce), (3,), {})
+            rt.submit(on("b", "block_b", lambda: 0), (), {})
+            rt.submit(on("a", "block_a", lambda: 0), (), {})
+            c = rt.submit(on("b", "consume", consume), (p, 1), {})
+            assert rt.wait_on(c) == 31
+        finally:
+            rt.stop(wait=False)
+        assert PRODUCE_CALLS[3] == 2
+        records = rt.tracer.records
+        producer_done = max(
+            r.end for r in records if r.task_name == "produce" and r.success
+        )
+        [consumer] = [r for r in records if r.task_name == "consume"]
+        assert producer_done > 300.0  # re-executed after a rejoined
+        assert consumer.start >= producer_done
+
+
 class TestGraphInvalidate:
     def _chain(self):
         g = TaskGraph()

@@ -1,4 +1,4 @@
-"""Tests for real (threaded/process) execution."""
+"""Tests for real (threaded) execution."""
 
 import threading
 import time
@@ -31,11 +31,6 @@ def divmod_task(a, b):
 @task()
 def fire_and_forget(acc):
     acc.append(1)
-
-
-def module_level_square(x):
-    """Top-level function usable by the process backend."""
-    return x * x
 
 
 class TestBasicExecution:
@@ -169,22 +164,70 @@ class TestFaultTolerance:
                 compss_wait_on(fut)
         assert len(calls) == 2  # original + one same-node retry
 
+    def test_consumer_of_an_already_failed_producer_fails_at_submit(self):
+        from repro.runtime.fault import UpstreamFailureError
+
+        plan = FailurePlan().fail_task("add_one-1", 0)
+        cfg = RuntimeConfig(
+            cluster=local_machine(2),
+            failure_injector=FailureInjector(plan),
+            retry_policy=RetryPolicy(same_node_retries=0, resubmissions=0),
+        )
+        with COMPSs(cfg) as rt:
+            bad = add_one(0)
+            with pytest.raises(TaskFailedError):
+                compss_wait_on(bad)
+            late = add_one(bad)  # submitted after the producer gave up
+            assert rt.graph.tasks()[-1].error is not None  # failed at once
+            with pytest.raises(TaskFailedError) as info:
+                compss_wait_on(late)
+            assert isinstance(info.value.cause, UpstreamFailureError)
+            assert info.value.cause.upstream_label == "add_one-1"
+
 
 class TestProcessBackend:
-    def test_process_pool_execution(self):
-        from repro.runtime.runtime import COMPSsRuntime
+    def test_processes_backend_rejected_names_workers(self):
+        with pytest.raises(ValueError, match='backend="workers"'):
+            RuntimeConfig(cluster=local_machine(2), backend="processes")
 
-        cfg = RuntimeConfig(
-            cluster=local_machine(2), backend="processes", max_parallel=2
-        )
-        rt = COMPSsRuntime(cfg).start()
+    @pytest.mark.parametrize("command", [["run", "study.json"], ["serve", "root"]])
+    def test_cli_processes_backend_rejected_names_workers(self, command, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--backend", "processes"])
+        assert 'backend="workers"' in capsys.readouterr().err
+
+
+class TestAbandonedStudy:
+    def test_running_attempt_is_aborted_and_its_outcome_discarded(self):
+        from repro.runtime.runtime import COMPSsRuntime
+        from repro.runtime.task_definition import TaskDefinition, TaskState
+
+        started = threading.Event()
+
+        def body():
+            started.set()
+            time.sleep(0.3)
+            return 1
+
+        rt = COMPSsRuntime(RuntimeConfig(cluster=local_machine(1))).start()
         try:
-            fut = rt.submit(
-                _module_square_definition(), (6,), {}
-            )
-            assert rt.wait_on(fut) == 36
+            rt.submit(TaskDefinition(func=body, name="slow", n_returns=1), (), {})
+            [task] = rt.graph.tasks()
+            task.study = "s"
+            assert started.wait(5.0)
+            assert rt.abandon_study("s") == 1
+            # The slot is free at once, not when the body returns.
+            assert rt.pool.workers["local"].free_cpu_units == 1
+            time.sleep(0.5)  # the body has returned by now
+            assert task.state == TaskState.FAILED
         finally:
-            rt.stop()
+            rt.stop(wait=False)
+
+
+def module_level_square(x):
+    return x * x
 
 
 def _module_square_definition():

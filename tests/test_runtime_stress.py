@@ -5,6 +5,10 @@ graphs through the simulated executor, deep dependency chains, random
 DAGs (hypothesis), and tasks submitted from inside running tasks.
 """
 
+import sys
+import time
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +17,10 @@ from hypothesis import strategies as st
 from repro.pycompss_api import COMPSs, compss_wait_on, task
 from repro.pycompss_api.constraint import ResourceConstraint
 from repro.runtime.config import RuntimeConfig
+from repro.runtime.fault import RetryPolicy
 from repro.runtime.runtime import COMPSsRuntime
 from repro.runtime.task_definition import TaskDefinition
+from repro.simcluster.failures import FailureInjector, FailurePlan
 from repro.simcluster.machines import local_machine, mare_nostrum4
 
 
@@ -60,6 +66,46 @@ class TestScale:
             assert result == sum(range(100))
             plot_task = rt.graph.tasks()[-1]
             assert len(rt.graph.predecessors(plot_task)) == 100
+
+
+class TestLocalLifecycleUnderContention:
+    def test_retries_backoff_and_backups_lose_no_update(self):
+        """Eight worker threads plus the timer thread on a few cores, a
+        tiny switch interval, injected failures with backoff retries and
+        a straggler backup: every task resolves exactly once with its own
+        result, and every slot comes back."""
+
+        def double(i):
+            time.sleep(0.002)
+            return 2 * i
+
+        plan = FailurePlan().slow_task("unit-7", 30.0)
+        for i in range(1, 201, 4):
+            plan.fail_task(f"unit-{i}", 0)
+        cfg = RuntimeConfig(
+            cluster=local_machine(8), executor="local",
+            failure_injector=FailureInjector(plan, seed=3, task_failure_prob=0.1),
+            retry_policy=RetryPolicy(2, 6, backoff_base_s=0.002),
+            speculation_multiplier=3.0,
+        )
+        definition = TaskDefinition(func=double, name="unit", returns=int,
+                                    n_returns=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            rt = COMPSsRuntime(cfg).start()
+            try:
+                futs = [rt.submit(definition, (i,), {}) for i in range(200)]
+                assert rt.wait_on(futs) == [2 * i for i in range(200)]
+                assert rt.executor.lifecycle.attempts == {}
+                assert rt.pool.workers["local"].free_cpu_units == 8
+                wins = Counter(r.task_label for r in rt.tracer.records if r.success)
+                assert len(wins) == 200 and set(wins.values()) == {1}
+                assert rt.resilience.counts().get("backoff_wait", 0) >= 50
+            finally:
+                rt.stop(wait=False)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestNestedSubmission:

@@ -58,6 +58,23 @@ def journal_sessions_and_keys(study_dir):
     return sessions, executed, restored
 
 
+def journaled_completions(study_dir):
+    """``completed`` records in a study's journal so far (0 if absent)."""
+    journal = study_dir / proto.CHECKPOINT_DIR / "journal.jsonl"
+    try:
+        text = journal.read_text(encoding="utf-8")
+    except OSError:
+        return 0
+    count = 0
+    for line in text.splitlines():
+        try:
+            rec = json.loads(line)
+        except ValueError:
+            continue  # a record still being appended
+        count += rec.get("rec") == "completed"
+    return count
+
+
 @pytest.mark.slow
 def test_sigkill_daemon_mid_soak_resumes_exactly_once(tmp_path):
     root = tmp_path / "svc"
@@ -182,6 +199,14 @@ def test_graceful_shutdown_requeues_stragglers(tmp_path):
         wait_for(
             lambda: client.status("drainee").get("status") == proto.RUNNING,
             60, "study running",
+        )
+        # SIGTERM only once a trial completion is journaled, so the next
+        # daemon life has something to restore however slow the host is.
+        wait_for(
+            lambda: journaled_completions(
+                root / proto.STUDIES_DIR / "drainee"
+            ) > 0,
+            60, "a journaled completion",
         )
         daemon.send_signal(signal.SIGTERM)
         daemon.wait(timeout=60)
