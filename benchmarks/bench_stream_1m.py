@@ -15,16 +15,20 @@ RSS after every wave.
 Two entry points:
 
 * ``pytest benchmarks/bench_stream_1m.py`` — CI smoke.  Runs a reduced
-  task count (default 200k, override with ``BENCH_STREAM_TASKS``) and
-  fails if RSS growth between the first and last wave exceeds the
-  ceiling in ``benchmarks/perf_thresholds.json``, if fewer than 99% of
-  tasks were freed, or if throughput regresses.
-* ``python benchmarks/bench_stream_1m.py`` — the full 1M-task run;
-  writes the machine-readable ``BENCH_stream.json`` to the repo root.
+  task count (default 200k, override with ``BENCH_STREAM_TASKS``) with
+  the journal off and on, in the same process, and fails if RSS
+  growth between the first and last wave exceeds the ceiling in
+  ``benchmarks/perf_thresholds.json``, if fewer than 99% of tasks were
+  freed, if throughput regresses, or if the journal-on ÷ journal-off
+  per-task ratio exceeds its ceiling.
+* ``python benchmarks/bench_stream_1m.py`` — the full 1M-task run plus
+  five same-process off/on pairs at the smoke size; writes the
+  machine-readable ``BENCH_stream.json`` to the repo root.
 """
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -40,6 +44,7 @@ OUTPUT_PATH = REPO_ROOT / "BENCH_stream.json"
 
 N_CORES = 16
 WAVE = 50_000
+SMOKE_TASKS = 200_000
 
 
 @task(returns=int)
@@ -117,6 +122,37 @@ def run_stream(n_tasks: int, journal_dir=None) -> dict:
     }
 
 
+def journal_overhead(n_tasks: int, journal_root, pairs: int = 1) -> dict:
+    """Journal-on ÷ journal-off per-task cost, measured in this process.
+
+    After an untimed warm-up session, runs ``pairs`` off/on pairs of
+    ``n_tasks``, alternating which side goes first so host drift hits
+    both alike.  Returns the last journaled run's record extended with
+    the median per-task µs of each side and the median of the per-pair
+    ratios.
+    """
+    run_stream(min(n_tasks, WAVE))
+    on, off, ratios = [], [], []
+    for i in range(pairs):
+        journal_dir = Path(journal_root) / f"run{i}"
+        if i % 2:
+            data = run_stream(n_tasks, journal_dir=journal_dir)
+            off_us = run_stream(n_tasks)["per_task_us"]
+        else:
+            off_us = run_stream(n_tasks)["per_task_us"]
+            data = run_stream(n_tasks, journal_dir=journal_dir)
+        on.append(data["per_task_us"])
+        off.append(off_us)
+        ratios.append(data["per_task_us"] / off_us)
+    return {
+        **data,
+        "journal_on_per_task_us": statistics.median(on),
+        "journal_off_per_task_us": statistics.median(off),
+        "journal_overhead_ratio": round(statistics.median(ratios), 3),
+        "journal_overhead_pairs": pairs,
+    }
+
+
 def report(data: dict) -> None:
     banner("Streaming graph + buffered journal — memory smoke")
     print(
@@ -130,18 +166,28 @@ def report(data: dict) -> None:
         f"growth={data['rss_growth_mb']} MiB over "
         f"{data['waves'] - 1} further wave(s)"
     )
+    if "journal_overhead_ratio" in data:
+        print(
+            f"journal on {data['journal_on_per_task_us']} us/task vs off "
+            f"{data['journal_off_per_task_us']} us/task: "
+            f"x{data['journal_overhead_ratio']}"
+        )
 
 
 def test_stream_smoke(tmp_path):
-    """CI smoke: reduced-size streaming run under the RSS ceiling."""
+    """CI smoke: reduced-size streaming runs under the RSS and journal-ratio ceilings."""
     thresholds = load_thresholds()
-    n_tasks = int(os.environ.get("BENCH_STREAM_TASKS", "200000"))
-    data = run_stream(n_tasks, journal_dir=tmp_path)
+    n_tasks = int(os.environ.get("BENCH_STREAM_TASKS", str(SMOKE_TASKS)))
+    data = journal_overhead(n_tasks, tmp_path)
     report(data)
     assert data["freed_fraction"] >= 0.99, data
     assert data["rss_growth_mb"] < thresholds["stream_rss_growth_mb_max"], data
     assert (
         data["tasks_per_sec"] > thresholds["stream_min_tasks_per_sec"]
+    ), data
+    assert (
+        data["journal_overhead_ratio"]
+        < thresholds["stream_journal_overhead_ratio_max"]
     ), data
 
 
@@ -150,7 +196,12 @@ def main() -> None:
 
     n_tasks = int(os.environ.get("BENCH_STREAM_TASKS", "1000000"))
     with tempfile.TemporaryDirectory() as journal_dir:
-        data = run_stream(n_tasks, journal_dir=journal_dir)
+        data = run_stream(n_tasks, journal_dir=Path(journal_dir) / "full")
+        overhead = journal_overhead(SMOKE_TASKS, journal_dir, pairs=5)
+    data.update(
+        {k: v for k, v in overhead.items() if k.startswith("journal_")},
+        journal_overhead_n_tasks=SMOKE_TASKS,
+    )
     report(data)
     OUTPUT_PATH.write_text(json.dumps(data, indent=2) + "\n")
     print(f"\nwrote {OUTPUT_PATH}")

@@ -37,9 +37,11 @@ import json
 import os
 import pickle
 import threading
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -78,6 +80,21 @@ JOURNAL_FILE = "journal.jsonl"
 OUTPUTS_DIR = "outputs"
 
 _MISSING = object()
+
+#: Argument types whose canonical form is their ``repr``.  Checked by
+#: exact type before the ``Mapping`` ABC test, which costs an
+#: ``__instancecheck__`` per argument; subclasses take the general path.
+_REPR_SCALARS = frozenset({int, float, bool, str, bytes, complex, type(None)})
+
+#: ``json.dumps(record, sort_keys=True)`` of the three per-task record
+#: shapes, precomputed: strings go through ``_json_str`` (the encoder
+#: ``json.dumps`` itself uses), so the bytes are identical.
+_SUBMITTED_LINE = '{"key": %s, "rec": "submitted", "seq": %d, "task": %s}'
+_STARTED_LINE = '{"key": %s, "node": %s, "rec": "started", "seq": %d, "task": %s}'
+_COMPLETED_LINE = (
+    '{"key": %s, "node": %s, "rec": "completed", "seq": %d, '
+    '"stored": %s, "task": %s}'
+)
 
 
 def sidecar_digest(payload: bytes) -> str:
@@ -153,18 +170,18 @@ class TaskKeyer:
         """Compute (and memoise on the invocation) the task's key."""
         if task.task_key is not None:
             return task.task_key
-        digest = self._params_digest(task.args, task.kwargs)
+        digest = _params_digest(task.args, task.kwargs, self._canonical)
         raw = f"{task.definition.name}|{digest}"
         if self.namespace:
             raw = f"{self.namespace}::{raw}"
-        slot = int.from_bytes(
-            hashlib.sha1(raw.encode("utf-8")).digest()[:8], "big"
-        )
+        # slot = sha1(raw)[:8]; key = sha1(raw|occurrence) continues the
+        # same hash state (digest() does not finalise it).
+        h = hashlib.sha1(raw.encode("utf-8"))
+        slot = int.from_bytes(h.digest()[:8], "big")
         occurrence = self._occurrences.get(slot, 0)
         self._occurrences[slot] = occurrence + 1
-        task.task_key = hashlib.sha1(
-            f"{raw}|{occurrence}".encode("utf-8")
-        ).hexdigest()[:16]
+        h.update(b"|%d" % occurrence)
+        task.task_key = h.hexdigest()[:16]
         return task.task_key
 
     def content_key_for(self, task: TaskInvocation) -> Optional[str]:
@@ -197,19 +214,9 @@ class TaskKeyer:
         if not definition.cacheable:
             return None
         try:
-            h = hashlib.sha1()
-            for a in task.args:
-                h.update(self._canonical_content(a).encode("utf-8", "replace"))
-                h.update(b"\x00")
-            for k in sorted(task.kwargs):
-                h.update(k.encode("utf-8"))
-                h.update(b"=")
-                h.update(
-                    self._canonical_content(task.kwargs[k]).encode(
-                        "utf-8", "replace"
-                    )
-                )
-                h.update(b"\x00")
+            digest = _params_digest(
+                task.args, task.kwargs, self._canonical_content
+            )
         except _UnstableArgument:
             return None
         func = definition.func
@@ -217,12 +224,14 @@ class TaskKeyer:
             f"{getattr(func, '__module__', '')}."
             f"{getattr(func, '__qualname__', definition.name)}"
         )
-        raw = f"{qualified}|{definition.name}|{h.hexdigest()}"
+        raw = f"{qualified}|{definition.name}|{digest}"
         task.content_key = hashlib.sha1(raw.encode("utf-8")).hexdigest()[:16]
         return task.content_key
 
     def _canonical_content(self, obj: Any) -> str:
         """Like :meth:`_canonical`, but refuses unstable forms."""
+        if type(obj) in _REPR_SCALARS:
+            return repr(obj)
         if is_future(obj):
             producer = obj.invocation
             key = self.content_key_for(producer)
@@ -250,20 +259,10 @@ class TaskKeyer:
             f"{type(obj).__name__} has no stable canonical form"
         )
 
-    def _params_digest(self, args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> str:
-        h = hashlib.sha1()
-        for a in args:
-            h.update(self._canonical(a).encode("utf-8", "replace"))
-            h.update(b"\x00")
-        for k in sorted(kwargs):
-            h.update(k.encode("utf-8"))
-            h.update(b"=")
-            h.update(self._canonical(kwargs[k]).encode("utf-8", "replace"))
-            h.update(b"\x00")
-        return h.hexdigest()
-
     def _canonical(self, obj: Any) -> str:
         """Stable textual form of one argument (recursive, bounded)."""
+        if type(obj) in _REPR_SCALARS:
+            return repr(obj)
         if is_future(obj):
             producer = obj.invocation
             key = producer.task_key or self.key_for(producer)
@@ -285,6 +284,28 @@ class TaskKeyer:
         # dominate hashing time.  Address-bearing default reprs make the
         # key unstable, which degrades to re-execution, never corruption.
         return f"<{type(obj).__name__}:{repr(obj)[:256]}>"
+
+
+def _params_digest(
+    args: Tuple[Any, ...],
+    kwargs: Dict[str, Any],
+    canonical: Callable[[Any], str],
+) -> str:
+    """sha1 over ``canonical(arg) NUL`` per arg, then ``k=canonical(v) NUL``."""
+    if args:
+        text = "\x00".join([
+            repr(a) if type(a) in _REPR_SCALARS else canonical(a) for a in args
+        ]) + "\x00"
+        h = hashlib.sha1(text.encode("utf-8", "replace"))
+    else:
+        h = hashlib.sha1()
+    if kwargs:
+        for k in sorted(kwargs):
+            h.update(k.encode("utf-8"))
+            h.update(b"=")
+            h.update(canonical(kwargs[k]).encode("utf-8", "replace"))
+            h.update(b"\x00")
+    return h.hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -344,13 +365,52 @@ class WriteAheadJournal:
                 return
             self._seq += 1
             record = {"rec": kind, "key": key, "seq": self._seq, **fields}
-            self._buffer.append(json.dumps(record, sort_keys=True))
-            if self.fsync == "always" or (
-                self.fsync == "commit" and kind in (COMPLETED, FAILED, SESSION)
-            ):
-                self._flush_locked(sync=True)
-            elif len(self._buffer) >= self._buffer_limit:
-                self._flush_locked(sync=False)
+            self._push_locked(
+                json.dumps(record, sort_keys=True),
+                kind in (COMPLETED, FAILED, SESSION),
+            )
+
+    # The per-task records: byte-identical to ``append`` with the same
+    # fields, minus the per-record dict and key sort.
+    def submitted(self, key: str, task: str) -> None:
+        """``append(SUBMITTED, key, task=task)``."""
+        key, task = _json_str(key), _json_str(task)
+        with self._lock:
+            if self._fh is None:
+                return
+            self._seq += 1
+            self._push_locked(_SUBMITTED_LINE % (key, self._seq, task), False)
+
+    def started(self, key: str, task: str, node: str) -> None:
+        """``append(STARTED, key, task=task, node=node)``."""
+        key, task, node = _json_str(key), _json_str(task), _json_str(node)
+        with self._lock:
+            if self._fh is None:
+                return
+            self._seq += 1
+            self._push_locked(
+                _STARTED_LINE % (key, node, self._seq, task), False
+            )
+
+    def completed(self, key: str, task: str, node: str, stored: bool) -> None:
+        """``append(COMPLETED, key, task=task, node=node, stored=stored)``."""
+        key, task, node = _json_str(key), _json_str(task), _json_str(node)
+        flag = "true" if stored else "false"
+        with self._lock:
+            if self._fh is None:
+                return
+            self._seq += 1
+            self._push_locked(
+                _COMPLETED_LINE % (key, node, self._seq, flag, task), True
+            )
+
+    def _push_locked(self, line: str, commit: bool) -> None:
+        """Buffer one encoded record; flush/fsync per policy.  Lock held."""
+        self._buffer.append(line)
+        if self.fsync == "always" or (commit and self.fsync == "commit"):
+            self._flush_locked(sync=True)
+        elif len(self._buffer) >= self._buffer_limit:
+            self._flush_locked(sync=False)
 
     def _flush_locked(self, sync: bool) -> None:
         """Drain the buffer to the file; optionally fsync.  Lock held."""
@@ -393,31 +453,44 @@ class WriteAheadJournal:
         :class:`~repro.runtime.resilience.ResilienceEvent`.  A bad record
         anywhere *else* raises :class:`JournalCorruptError`.
         """
-        path = Path(path)
         records: List[Dict[str, Any]] = []
+        truncated = WriteAheadJournal.scan(path, records.append, log)
+        return records, truncated
+
+    @staticmethod
+    def scan(
+        path: Union[str, Path],
+        visit: Callable[[Dict[str, Any]], None],
+        log: Optional["ResilienceLog"] = None,
+    ) -> bool:
+        """Stream the records of :meth:`replay` into ``visit``, in order.
+
+        Reads one line at a time, so memory stays bounded by the longest
+        record rather than the journal.  Same torn-tail and corruption
+        semantics as :meth:`replay`; returns ``truncated``.
+        """
+        path = Path(path)
         bad: List[int] = []
         with open(path, "rb") as fh:
-            lines = fh.read().split(b"\n")
-        # A well-formed journal ends with a newline, leaving one empty
-        # trailing chunk; anything after the last newline is a torn tail.
-        for lineno, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-                if not isinstance(record, dict) or "rec" not in record:
-                    raise ValueError("not a journal record")
-            except (ValueError, UnicodeDecodeError):
-                bad.append(lineno)
-                continue
-            if bad:
-                # A parseable record AFTER a bad one: the bad line was
-                # not a torn tail but mid-file corruption.
-                raise JournalCorruptError(
-                    f"{path}: unparseable journal record at line {bad[0]} "
-                    "followed by valid records"
-                )
-            records.append(record)
+            # Anything after the last newline is a torn tail.
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line.decode("utf-8"))
+                    if not isinstance(record, dict) or "rec" not in record:
+                        raise ValueError("not a journal record")
+                except (ValueError, UnicodeDecodeError):
+                    bad.append(lineno)
+                    continue
+                if bad:
+                    # A parseable record AFTER a bad one: the bad line was
+                    # not a torn tail but mid-file corruption.
+                    raise JournalCorruptError(
+                        f"{path}: unparseable journal record at line {bad[0]} "
+                        "followed by valid records"
+                    )
+                visit(record)
         truncated = bool(bad)
         if truncated:
             _log.warning(
@@ -430,7 +503,7 @@ class WriteAheadJournal:
                     0.0, rsl.JOURNAL_TRUNCATED,
                     detail=f"dropped torn record at line {bad[0]} of {path.name}",
                 )
-        return records, truncated
+        return truncated
 
 
 # ----------------------------------------------------------------------
@@ -652,31 +725,36 @@ class RecoveryManager:
         self.checkpoint_dir = Path(checkpoint_dir)
         self.log = log
         self.store = CheckpointStore(self.checkpoint_dir / OUTPUTS_DIR, cadence=None)
-        journal_path = self.checkpoint_dir / JOURNAL_FILE
-        self.truncated = False
-        self.records: List[Dict[str, Any]] = []
-        if journal_path.exists():
-            self.records, self.truncated = WriteAheadJournal.replay(
-                journal_path, log
-            )
         #: key -> last known lifecycle state across all sessions.
         self.states: Dict[str, str] = {}
         #: Keys with a ``completed`` record (the replayed prefix).
         self.completed_keys: Set[str] = set()
         self.sessions = 0
-        for record in self.records:
-            kind = record.get("rec")
-            if kind == SESSION:
-                self.sessions += 1
-                continue
-            key = record.get("key", "")
-            if not key:
-                continue
-            self.states[key] = kind
-            if kind == COMPLETED:
-                self.completed_keys.add(key)
+        #: Records replayed, per ``rec`` kind (the records themselves are
+        #: not kept: resume memory is O(keys), not O(journal)).
+        self.record_kinds: Dict[str, int] = {}
+        self.truncated = False
+        journal_path = self.checkpoint_dir / JOURNAL_FILE
+        if journal_path.exists():
+            self.truncated = WriteAheadJournal.scan(
+                journal_path, self._absorb, log
+            )
         #: Keys restored into the new session so far (runtime increments).
         self.restored = 0
+
+    def _absorb(self, record: Dict[str, Any]) -> None:
+        """Fold one replayed record into the per-key state."""
+        kind = record.get("rec", "?")
+        self.record_kinds[kind] = self.record_kinds.get(kind, 0) + 1
+        if kind == SESSION:
+            self.sessions += 1
+            return
+        key = record.get("key", "")
+        if not key:
+            return
+        self.states[key] = kind
+        if kind == COMPLETED:
+            self.completed_keys.add(key)
 
     def restorable(self, key: str) -> bool:
         """Whether ``key`` is journaled-complete with a stored output."""
@@ -716,15 +794,12 @@ class RecoveryManager:
 
     def summary(self) -> Dict[str, Any]:
         """Machine-readable replay summary (CLI ``recover`` command)."""
-        kinds: Dict[str, int] = {}
-        for record in self.records:
-            kinds[record.get("rec", "?")] = kinds.get(record.get("rec", "?"), 0) + 1
         spills = self.store.verify_spills(sorted(self.completed_keys))
         return {
             "journal": str(self.checkpoint_dir / JOURNAL_FILE),
-            "records": len(self.records),
+            "records": sum(self.record_kinds.values()),
             "sessions": self.sessions,
-            "record_kinds": kinds,
+            "record_kinds": dict(self.record_kinds),
             "tasks_seen": len(self.states),
             "completed": len(self.completed_keys),
             "restorable": spills["ok"],

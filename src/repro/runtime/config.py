@@ -227,9 +227,11 @@ class RuntimeConfig:
         dispatch cost (2.5k collections, each walking every live
         invocation).  ``stop()`` returns the frozen set to normal
         management (``gc.unfreeze()``).  Reference-count reclamation is
-        unaffected throughout; the only deferral is cyclic garbage
-        created *during* the session, which is collected after stop —
-        the runtime's own structures are cycle-free by design.
+        unaffected throughout.  Cyclic garbage is the exception: a cycle
+        alive at a freeze moves into the frozen set and is only
+        collected after stop, so the per-task paths must not create
+        reference cycles (a test bounds frozen-heap growth per streamed
+        task; nested closures were the one such source).
     cost_model:
         Duration model for the simulated executor.
     execute_bodies:

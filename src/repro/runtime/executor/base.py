@@ -108,36 +108,8 @@ class Executor(abc.ABC):
 
         Dependencies guarantee producers completed before this is called.
         """
-
-        def contains_future(v: Any) -> bool:
-            if is_future(v):
-                return True
-            if isinstance(v, (list, tuple, set)):
-                return any(contains_future(i) for i in v)
-            if isinstance(v, dict):
-                return any(contains_future(i) for i in v.values())
-            return False
-
-        def resolve(v: Any) -> Any:
-            if is_future(v):
-                return v.result()
-            # Rebuild containers only when they actually hold futures —
-            # otherwise the original object must be passed through so
-            # INOUT mutations land on the caller's object.
-            if not contains_future(v):
-                return v
-            if isinstance(v, list):
-                return [resolve(i) for i in v]
-            if isinstance(v, tuple):
-                return tuple(resolve(i) for i in v)
-            if isinstance(v, set):
-                return {resolve(i) for i in v}
-            if isinstance(v, dict):
-                return {k: resolve(i) for k, i in v.items()}
-            return v
-
-        args = tuple(resolve(a) for a in task.args)
-        kwargs = {k: resolve(v) for k, v in task.kwargs.items()}
+        args = tuple(_resolve(a) for a in task.args)
+        kwargs = {k: _resolve(v) for k, v in task.kwargs.items()}
         return args, kwargs
 
     @staticmethod
@@ -163,3 +135,35 @@ class Executor(abc.ABC):
             )
         for fut, value in zip(futures, values):
             fut.set_result(value)
+
+
+# Module-level rather than closures inside ``resolve_arguments``: two
+# mutually-recursive closures form a reference cycle per call, and with
+# ``manage_gc`` freezing the heap those cycles were never collected.
+def _contains_future(v: Any) -> bool:
+    if is_future(v):
+        return True
+    if isinstance(v, (list, tuple, set)):
+        return any(_contains_future(i) for i in v)
+    if isinstance(v, dict):
+        return any(_contains_future(i) for i in v.values())
+    return False
+
+
+def _resolve(v: Any) -> Any:
+    if is_future(v):
+        return v.result()
+    # Rebuild containers only when they actually hold futures —
+    # otherwise the original object must be passed through so
+    # INOUT mutations land on the caller's object.
+    if not _contains_future(v):
+        return v
+    if isinstance(v, list):
+        return [_resolve(i) for i in v]
+    if isinstance(v, tuple):
+        return tuple(_resolve(i) for i in v)
+    if isinstance(v, set):
+        return {_resolve(i) for i in v}
+    if isinstance(v, dict):
+        return {k: _resolve(i) for k, i in v.items()}
+    return v

@@ -34,7 +34,6 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.runtime import checkpoint as ckpt
 from repro.runtime import resilience as rsl
 from repro.runtime.fault import (
     FaultAction,
@@ -224,7 +223,11 @@ class AttemptLifecycle:
         task.state = TaskState.RUNNING
         if not speculative:
             task.node = node
-            runtime.journal_task_event(task, ckpt.STARTED, node=node)
+            key = task.task_key
+            if key is not None:
+                journal = runtime.journal_for(task)
+                if journal is not None:
+                    journal.started(key, task.label, node)
         attempt = Attempt(assignment, self.clock.now, speculative)
         self.attempts.setdefault(task.task_id, []).append(attempt)
         if runtime.tracer.enabled:
@@ -459,7 +462,7 @@ class AttemptLifecycle:
         if action == FaultAction.GIVE_UP:
             task.state = TaskState.FAILED
             task.error = exc
-            runtime.journal_task_event(task, ckpt.FAILED, node=node)
+            runtime.journal_failed(task, node)
             runtime.fail_descendants(task, now)
             self.executor.notify_task_resolutions()
             return
@@ -706,7 +709,7 @@ class AttemptLifecycle:
                 task.attempt_history.append(f"starved for {waited:g}s: {exc}")
                 task.state = TaskState.FAILED
                 task.error = exc
-                runtime.journal_task_event(task, ckpt.FAILED, node="")
+                runtime.journal_failed(task)
                 runtime.fail_descendants(task, self.clock.now)
             if victims:
                 self.executor.notify_task_resolutions()

@@ -60,7 +60,6 @@ from collections import deque
 from multiprocessing import connection as mp_connection
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.runtime import checkpoint as ckpt
 from repro.runtime import resilience as rsl
 from repro.runtime.executor.lifecycle import Attempt
 from repro.runtime.executor.local import _HUNG, LocalExecutor
@@ -426,7 +425,7 @@ class WorkerPoolExecutor(LocalExecutor):
         if pending.outcome == "crash":
             # Journal the attempt as failed so a driver resume re-runs it
             # — a crash can never appear as a (torn) completion.
-            self.runtime.journal_task_event(task, ckpt.FAILED, node=node)
+            self.runtime.journal_failed(task, node)
         assert pending.exc is not None
         raise pending.exc
 

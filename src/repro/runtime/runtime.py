@@ -309,12 +309,13 @@ class COMPSsRuntime:
         set_current(self)
         self._started = True
         if self.config.manage_gc:
-            # The runtime's own structures are cycle-free and reclaimed
-            # by reference counting; the cycle collector only re-scans
-            # the growing live-task heap (~30% of dispatch cost at 100k
-            # tasks).  Freeze the baseline heap now and the accumulating
-            # task history periodically (gc_checkpoint); unfrozen in
-            # stop().
+            # The runtime's per-task structures are reclaimed by
+            # reference counting (they must form no cycles: frozen
+            # cyclic garbage waits for stop()); the cycle collector only
+            # re-scans the growing live-task heap (~30% of dispatch cost
+            # at 100k tasks).  Freeze the baseline heap now and the
+            # accumulating task history periodically (gc_checkpoint);
+            # unfrozen in stop().
             self._gc_managed = True
             gc.freeze()
         if self.journal is not None:
@@ -482,9 +483,7 @@ class COMPSsRuntime:
                         detail=f"key={invocation.task_key}",
                     )
             if journal is not None:
-                journal.append(
-                    ckpt.SUBMITTED, invocation.task_key, task=invocation.label
-                )
+                journal.submitted(invocation.task_key, invocation.label)
                 if restored is not ckpt._MISSING:
                     journal.append(
                         ckpt.COMPLETED, invocation.task_key,
@@ -677,20 +676,18 @@ class COMPSsRuntime:
             self.access.revalidate_versions_written_by(task)
         if self.integrity is not None:
             self._seal_outputs(task, result)
-        session = self._sessions.get(task.study) if task.study else None
-        journal = session.journal if session is not None else self.journal
-        store = (
-            session.checkpoint_store if session is not None
-            else self.checkpoint_store
-        )
-        if journal is not None and task.task_key is not None:
-            stored = False
-            if store is not None and store.should_spill():
-                stored = store.save(task.task_key, result)
-            journal.append(
-                ckpt.COMPLETED, task.task_key,
-                task=task.label, node=task.node or "", stored=stored,
-            )
+        key = task.task_key
+        if key is not None:
+            session = self._sessions.get(task.study) if task.study else None
+            if session is None:
+                journal, store = self.journal, self.checkpoint_store
+            else:
+                journal, store = session.journal, session.checkpoint_store
+            if journal is not None:
+                stored = False
+                if store is not None and store.should_spill():
+                    stored = store.save(key, result)
+                journal.completed(key, task.label, task.node or "", stored)
         reuse = self.reuse
         if reuse is not None and task.content_key is not None:
             injector = self.failure_injector
@@ -812,21 +809,25 @@ class COMPSsRuntime:
             )
             return labels
 
-    def journal_task_event(
-        self, task: TaskInvocation, kind: str, node: str = ""
-    ) -> None:
-        """Append a task lifecycle record (executors journal start/failure)."""
-        if kind == ckpt.FAILED and self.reuse is not None:
-            if task.content_key is not None:
-                # A terminally-failed stage never publishes: surrender the
-                # single-flight lease so waiters stop spinning on it.
-                self.reuse.abandon(task.content_key)
+    def journal_for(
+        self, task: TaskInvocation
+    ) -> Optional[ckpt.WriteAheadJournal]:
+        """The journal receiving ``task``'s records (its study's, or ours)."""
         session = self._sessions.get(task.study) if task.study else None
-        journal = session.journal if session is not None else self.journal
+        return session.journal if session is not None else self.journal
+
+    def journal_failed(self, task: TaskInvocation, node: str = "") -> None:
+        """Journal a terminal failure and surrender its reuse lease."""
+        if self.reuse is not None and task.content_key is not None:
+            # A terminally-failed stage never publishes: surrender the
+            # single-flight lease so waiters stop spinning on it.
+            self.reuse.abandon(task.content_key)
+        journal = self.journal_for(task)
         if journal is None or task.task_key is None:
             return
         journal.append(
-            kind, task.task_key, task=task.label, node=node or (task.node or "")
+            ckpt.FAILED, task.task_key, task=task.label,
+            node=node or (task.node or ""),
         )
 
     def fail_descendants(
@@ -860,7 +861,7 @@ class COMPSsRuntime:
             dep.attempt_history.append(f"cancelled: {exc}")
             dep.state = TaskState.FAILED
             dep.error = exc
-            self.journal_task_event(dep, ckpt.FAILED, node="")
+            self.journal_failed(dep)
             self.resilience.record(
                 now, UPSTREAM_CANCELLED, dep.label, "",
                 detail=f"producer {upstream} failed terminally",
@@ -1045,7 +1046,7 @@ class COMPSsRuntime:
                 task.attempt_history.append(f"study abandoned: {exc}")
                 task.state = TaskState.FAILED
                 task.error = exc
-                self.journal_task_event(task, ckpt.FAILED, node="")
+                self.journal_failed(task)
                 victims.append(task)
             self.dispatcher.purge(victims)
         self.resilience.record(

@@ -217,6 +217,33 @@ class TestManageGC:
             assert gc.isenabled()  # the collector is never disabled
         assert gc.get_freeze_count() == 0
 
+    def test_streamed_tasks_leave_no_frozen_garbage(self):
+        """Per-task reference cycles would pile up in the frozen heap.
+
+        ``gc.freeze`` moves whatever is alive into the permanent
+        generation, cyclic garbage included, so a cycle created per task
+        is never collected during the session.  The frozen heap must not
+        grow with the number of streamed (and freed) tasks.
+        """
+        cfg = RuntimeConfig(
+            cluster=local_machine(4),
+            executor="simulated",
+            execute_bodies=True,
+            tracing=False,
+            graph=False,
+            stream_completed=True,
+            manage_gc=True,
+            duration_fn=lambda t, spec, alloc: 1.0,
+        )
+        wave, waves = 2000, 10
+        with COMPSs(cfg):
+            compss_wait_on([produce(i) for i in range(wave)])  # warm-up
+            base = gc.get_freeze_count()
+            for _ in range(waves):
+                compss_wait_on([produce(i) for i in range(wave)])
+            growth = gc.get_freeze_count() - base
+        assert growth / (wave * waves) < 0.5, growth
+
     def test_opt_out_never_freezes(self):
         cfg = RuntimeConfig(
             cluster=local_machine(4),

@@ -1,11 +1,16 @@
 """Crash-consistency tests: write-ahead journal, checkpoint store,
 recovery manager, exactly-once resume, and lineage-based data recovery."""
 
+import enum
 import json
 import pickle
-from collections import Counter
+import tempfile
+from collections import Counter, namedtuple
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pycompss_api.constraint import ResourceConstraint
 from repro.runtime import checkpoint as ckpt
@@ -160,6 +165,49 @@ class TestWriteAheadJournal:
         assert truncated and len(records) == 1
 
 
+#: Text the per-task encoders must escape exactly like ``json.dumps``:
+#: quotes, backslashes, format characters, controls, DEL, a non-BMP
+#: character and a lone surrogate, mixed with arbitrary characters.
+JOURNAL_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(
+            ['"', "\\", "%", "%s", "%d", "\x00", "\n", "\r", "\t", "\x1f",
+             "\x7f", "\u2028", "é", "\U0001d11e", "\ud800"]
+        ),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=12,
+).map("".join)
+
+
+class TestPerTaskRecordEncoding:
+    """``submitted``/``started``/``completed`` against the ``json.dumps`` oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=JOURNAL_TEXT, task=JOURNAL_TEXT, node=JOURNAL_TEXT,
+           stored=st.booleans())
+    def test_lines_equal_json_dumps_and_replay(self, key, task, node, stored):
+        expected = [
+            {"rec": ckpt.SUBMITTED, "key": key, "seq": 1, "task": task},
+            {"rec": ckpt.STARTED, "key": key, "seq": 2, "task": task,
+             "node": node},
+            {"rec": ckpt.COMPLETED, "key": key, "seq": 3, "task": task,
+             "node": node, "stored": stored},
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "journal.jsonl"
+            j = WriteAheadJournal(path, fsync="off")
+            j.submitted(key, task)
+            j.started(key, task, node)
+            j.completed(key, task, node, stored)
+            j.close()
+            data = path.read_bytes()
+            records, truncated = WriteAheadJournal.replay(path)
+        oracle = "".join(json.dumps(r, sort_keys=True) + "\n" for r in expected)
+        assert data == oracle.encode("utf-8")
+        assert not truncated and records == expected
+
+
 class TestTornWriteFuzz:
     """Satellite (a): a crash can tear the final record at ANY byte."""
 
@@ -281,7 +329,7 @@ class TestRecoveryManager:
 
     def test_missing_journal_is_empty_not_error(self, tmp_path):
         rm = RecoveryManager(tmp_path / "fresh")
-        assert rm.records == [] and rm.completed_keys == set()
+        assert rm.record_kinds == {} and rm.completed_keys == set()
         assert rm.summary()["records"] == 0
 
     def test_unreadable_checkpoint_degrades_to_reexecution(self, tmp_path):
@@ -438,7 +486,7 @@ class TestRuntimeResume:
             rt.stop(wait=False)
         rm = RecoveryManager(tmp_path)
         assert rm.completed_keys == set()
-        assert ckpt.FAILED in {r["rec"] for r in rm.records}
+        assert ckpt.FAILED in rm.record_kinds
 
 
 # ----------------------------------------------------------------------
@@ -886,3 +934,231 @@ class TestStudySessionNamespacing:
         assert completed == {key}
         foreign = invocation(d, {"lr": 0.5})
         assert TaskKeyer(namespace="other").key_for(foreign) not in completed
+
+
+# ----------------------------------------------------------------------
+# Golden pins: task keys and journal bytes are a persistence format
+# ----------------------------------------------------------------------
+# Journals written by older versions must stay resumable and reuse-cache
+# entries stay addressable only while keys and record bytes never move.
+# The literals below were computed by the implementation that wrote the
+# first journals; a faster encoder or keyer must reproduce them exactly.
+class _Point:
+    def __repr__(self):
+        return "Point(1, 2)"
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
+_Pair = namedtuple("_Pair", "a b")
+
+
+def _future_chain():
+    d = make_def()
+    producer = invocation(d, 1)
+    middle = invocation(d, Future(producer, 0), 2.5)
+    return (Future(middle, 0), [Future(producer, 0)]), {}, ""
+
+
+#: label -> (args, kwargs, namespace) factories for the key pin table.
+GOLDEN_KEY_CASES = {
+    "int": lambda: ((7,), {}, ""),
+    "negative_big_int": lambda: ((-(2 ** 70),), {}, ""),
+    "float": lambda: ((0.1,), {}, ""),
+    "negative_zero": lambda: ((-0.0,), {}, ""),
+    "nan_inf": lambda: ((float("nan"), float("inf")), {}, ""),
+    "bool_none": lambda: ((True, False, None), {}, ""),
+    "complex": lambda: ((1 + 2j,), {}, ""),
+    "unicode_str": lambda: (("héllo ✓ \U0001d11e \"q\" \\ %s",), {}, ""),
+    "lone_surrogates": lambda: (("a\ud800", "\udc00b"), {"k": "\ud834"}, ""),
+    "bytes": lambda: ((b"\x00\xff|raw",), {}, ""),
+    "nested": lambda: (
+        ([1, (2, 3), {"k": {4, 5}, "j": frozenset({"a", "b"})}],), {}, ""
+    ),
+    "kwargs": lambda: ((1,), {"lr": 0.01, "epochs": 4, "opt": "adam"}, ""),
+    "kwargs_only": lambda: ((), {"x": [1, 2], "y": None}, ""),
+    "no_args": lambda: ((), {}, ""),
+    "future_chain": _future_chain,
+    "namespace": lambda: ((7,), {"lr": 0.1}, "s1"),
+    "object_repr": lambda: ((_Point(),), {}, ""),
+    "scalar_subclasses": lambda: ((_Colour.RED, _Pair(1, "b")), {}, ""),
+}
+
+GOLDEN_KEYS = {
+    'bool_none': '52c7fcf7abc44515',
+    'bytes': '0a5996e246e9cede',
+    'complex': '63781bb1c28805ad',
+    'float': 'f60366bce7ad6f5b',
+    'future_chain': '326bc48684e36b94',
+    'int': 'c188ff13b8a5dffb',
+    'kwargs': '5f063dcec4afc2c4',
+    'kwargs_only': '16e9ff6e94ca6b42',
+    'lone_surrogates': 'cc92d0853f7ec17b',
+    'namespace': '637724f1859a2c28',
+    'nan_inf': '8fc773485f469cd5',
+    'negative_big_int': 'e7332773bdeb2cec',
+    'negative_zero': 'de0f9ff6f9744444',
+    'nested': 'c3fea22b927ae9a8',
+    'no_args': '300235825ccbd705',
+    'object_repr': '68f14be5c2bdaa11',
+    'scalar_subclasses': '75f1a3dc0a952a82',
+    'unicode_str': '9fbf2e7f51d89b92',
+}
+
+#: The second identical submission (occurrence 1) of ``int`` and ``namespace``.
+GOLDEN_REPEAT_KEYS = {
+    'int': '6e29757969a2a593',
+    'namespace': '8e60e2049532b9cd',
+}
+
+
+def _golden_stage(*args, **kwargs):
+    return 0
+
+
+_golden_stage.__module__ = "golden"
+_golden_stage.__qualname__ = "stage"
+
+
+def _golden_cacheable():
+    return TaskDefinition(
+        func=_golden_stage, name="stage", returns=int, n_returns=1,
+        constraint=ResourceConstraint(cpu_units=1), cacheable=True,
+    )
+
+
+def golden_content_keys():
+    d = _golden_cacheable()
+    keyer = TaskKeyer(namespace="ignored-by-content-keys")
+    first = invocation(d, 3, 0.5, "adam", {"lr": 0.1, "m": [1, 2]}, epochs=4)
+    second = invocation(d, Future(first, 0), (1, None), block=2)
+    third = invocation(d, b"x", -0.0, {7, 8}, frozenset({"é"}))
+    return {
+        name: keyer.content_key_for(task)
+        for name, task in (("first", first), ("chain", second), ("scalars", third))
+    }
+
+
+GOLDEN_CONTENT_KEYS = {
+    'chain': '0fc300d6e4b1953a',
+    'first': 'ea87c25dc9937266',
+    'scalars': '7f254344a19c64dc',
+}
+
+
+def golden_session_journal(tmp_path):
+    """Journal bytes of a small fixed simulated session and its resume.
+
+    Covers submitted/started/completed records (stored alternating),
+    a terminal failure with an upstream-cancelled consumer, non-ASCII
+    task labels, and restored completions in the resumed session.
+    Session marker lines carry the pid and are dropped.
+    """
+    from repro.runtime.fault import TaskFailedError
+    from repro.runtime.task_definition import reset_invocation_counter
+
+    def program(rt):
+        add = make_def("add", lambda a, b: a + b)
+        boom = make_def("boom", lambda x: x)
+        fusion = make_def("fusión", lambda *xs: sum(xs))
+        x = rt.submit(add, (1, 2), {})
+        y = rt.submit(add, (x, 10), {})
+        z = rt.submit(add, (y, 100), {})
+        b = rt.submit(boom, (z,), {})
+        c = rt.submit(add, (b, 1), {})
+        f = rt.submit(fusion, (x, y, z), {})
+        assert rt.wait_on([x, y, z, f]) == [3, 13, 113, 129]
+        with pytest.raises(TaskFailedError):
+            rt.wait_on(c)
+
+    def config(**extra):
+        return RuntimeConfig(
+            cluster=local_machine(2), executor="simulated",
+            execute_bodies=True, duration_fn=lambda t, n, a: 1.0,
+            tracing=False, graph=False, journal_fsync="off",
+            failure_injector=FailureInjector(
+                FailurePlan().fail_task("boom-4", 0, 1, 2, 3, 4)
+            ),
+            **extra,
+        )
+
+    reset_invocation_counter()
+    rt = COMPSsRuntime(
+        config(checkpoint_dir=str(tmp_path), checkpoint_every=2)
+    ).start()
+    try:
+        program(rt)
+    finally:
+        rt.stop()
+    reset_invocation_counter()
+    rt = COMPSsRuntime(config(), resume_from=str(tmp_path)).start()
+    try:
+        program(rt)
+    finally:
+        rt.stop()
+    lines = (tmp_path / ckpt.JOURNAL_FILE).read_bytes().splitlines(keepends=True)
+    return b"".join(line for line in lines if b'"rec": "session"' not in line)
+
+
+GOLDEN_SESSION_JOURNAL = (
+    b'{"key": "ebb6eecf15d1bb74", "rec": "submitted", "seq": 2, "task": "add-1"}\n'
+    b'{"key": "ca4da670402272e4", "rec": "submitted", "seq": 3, "task": "add-2"}\n'
+    b'{"key": "4dcad50f1da365d0", "rec": "submitted", "seq": 4, "task": "add-3"}\n'
+    b'{"key": "d2ebe46c831dea9f", "rec": "submitted", "seq": 5, "task": "boom-4"}\n'
+    b'{"key": "03a0d3437784ba3b", "rec": "submitted", "seq": 6, "task": "add-5"}\n'
+    b'{"key": "990ae663d2994b9c", "rec": "submitted", "seq": 7, "task": "fusi\\u00f3n-6"}\n'
+    b'{"key": "ebb6eecf15d1bb74", "node": "local", "rec": "started", "seq": 8, "task": "add-1"}\n'
+    b'{"key": "ebb6eecf15d1bb74", "node": "local", "rec": "completed", "seq": 9, "stored": false, "task": "add-1"}\n'
+    b'{"key": "ca4da670402272e4", "node": "local", "rec": "started", "seq": 10, "task": "add-2"}\n'
+    b'{"key": "ca4da670402272e4", "node": "local", "rec": "completed", "seq": 11, "stored": true, "task": "add-2"}\n'
+    b'{"key": "4dcad50f1da365d0", "node": "local", "rec": "started", "seq": 12, "task": "add-3"}\n'
+    b'{"key": "4dcad50f1da365d0", "node": "local", "rec": "completed", "seq": 13, "stored": false, "task": "add-3"}\n'
+    b'{"key": "d2ebe46c831dea9f", "node": "local", "rec": "started", "seq": 14, "task": "boom-4"}\n'
+    b'{"key": "990ae663d2994b9c", "node": "local", "rec": "started", "seq": 15, "task": "fusi\\u00f3n-6"}\n'
+    b'{"key": "d2ebe46c831dea9f", "node": "local", "rec": "started", "seq": 16, "task": "boom-4"}\n'
+    b'{"key": "990ae663d2994b9c", "node": "local", "rec": "completed", "seq": 17, "stored": true, "task": "fusi\\u00f3n-6"}\n'
+    b'{"key": "d2ebe46c831dea9f", "node": "local", "rec": "started", "seq": 18, "task": "boom-4"}\n'
+    b'{"key": "d2ebe46c831dea9f", "node": "local", "rec": "failed", "seq": 19, "task": "boom-4"}\n'
+    b'{"key": "03a0d3437784ba3b", "node": "", "rec": "failed", "seq": 20, "task": "add-5"}\n'
+    b'{"key": "ebb6eecf15d1bb74", "rec": "submitted", "seq": 2, "task": "add-1"}\n'
+    b'{"key": "ca4da670402272e4", "rec": "submitted", "seq": 3, "task": "add-2"}\n'
+    b'{"key": "ca4da670402272e4", "rec": "completed", "restored": true, "seq": 4, "task": "add-2"}\n'
+    b'{"key": "4dcad50f1da365d0", "rec": "submitted", "seq": 5, "task": "add-3"}\n'
+    b'{"key": "d2ebe46c831dea9f", "rec": "submitted", "seq": 6, "task": "boom-4"}\n'
+    b'{"key": "03a0d3437784ba3b", "rec": "submitted", "seq": 7, "task": "add-5"}\n'
+    b'{"key": "990ae663d2994b9c", "rec": "submitted", "seq": 8, "task": "fusi\\u00f3n-6"}\n'
+    b'{"key": "990ae663d2994b9c", "rec": "completed", "restored": true, "seq": 9, "task": "fusi\\u00f3n-6"}\n'
+    b'{"key": "ebb6eecf15d1bb74", "node": "local", "rec": "started", "seq": 10, "task": "add-1"}\n'
+    b'{"key": "4dcad50f1da365d0", "node": "local", "rec": "started", "seq": 11, "task": "add-3"}\n'
+    b'{"key": "ebb6eecf15d1bb74", "node": "local", "rec": "completed", "seq": 12, "stored": true, "task": "add-1"}\n'
+    b'{"key": "4dcad50f1da365d0", "node": "local", "rec": "completed", "seq": 13, "stored": true, "task": "add-3"}\n'
+    b'{"key": "d2ebe46c831dea9f", "node": "local", "rec": "started", "seq": 14, "task": "boom-4"}\n'
+    b'{"key": "d2ebe46c831dea9f", "node": "local", "rec": "started", "seq": 15, "task": "boom-4"}\n'
+    b'{"key": "d2ebe46c831dea9f", "node": "local", "rec": "started", "seq": 16, "task": "boom-4"}\n'
+    b'{"key": "d2ebe46c831dea9f", "node": "local", "rec": "failed", "seq": 17, "task": "boom-4"}\n'
+    b'{"key": "03a0d3437784ba3b", "node": "", "rec": "failed", "seq": 18, "task": "add-5"}\n'
+)
+
+
+class TestGoldenPins:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_KEY_CASES))
+    def test_key_for_matches_pinned_key(self, case):
+        args, kwargs, namespace = GOLDEN_KEY_CASES[case]()
+        task = invocation(make_def(), *args, **kwargs)
+        assert TaskKeyer(namespace).key_for(task) == GOLDEN_KEYS[case]
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_REPEAT_KEYS))
+    def test_repeat_occurrence_matches_pinned_key(self, case):
+        args, kwargs, namespace = GOLDEN_KEY_CASES[case]()
+        keyer = TaskKeyer(namespace)
+        keyer.key_for(invocation(make_def(), *args, **kwargs))
+        again = invocation(make_def(), *args, **kwargs)
+        assert keyer.key_for(again) == GOLDEN_REPEAT_KEYS[case]
+
+    def test_content_keys_match_pins(self):
+        assert golden_content_keys() == GOLDEN_CONTENT_KEYS
+
+    def test_session_journal_bytes_match_pin(self, tmp_path):
+        assert golden_session_journal(tmp_path) == GOLDEN_SESSION_JOURNAL

@@ -106,14 +106,19 @@ def test_sigkill_daemon_mid_soak_resumes_exactly_once(tmp_path):
                 timeout_s=30,
             )
 
-        # SIGKILL only once studies are genuinely mid-flight.
+        # SIGKILL only once studies are genuinely mid-flight: RUNNING
+        # and with journaled work a restart can restore.  A RUNNING state
+        # file alone does not mean a task has completed yet.
         def mid_flight():
-            states = [
-                proto.read_json(root / proto.STUDIES_DIR / f"soak{i}"
-                                / proto.STATE_FILE) or {}
-                for i in range(8)
-            ]
-            return sum(s.get("status") == proto.RUNNING for s in states) >= 2
+            flying = 0
+            for i in range(8):
+                study_dir = root / proto.STUDIES_DIR / f"soak{i}"
+                state = proto.read_json(study_dir / proto.STATE_FILE) or {}
+                flying += (
+                    state.get("status") == proto.RUNNING
+                    and journaled_completions(study_dir) >= 1
+                )
+            return flying >= 2
 
         wait_for(mid_flight, 60, "studies running")
         daemon.send_signal(signal.SIGKILL)
