@@ -19,9 +19,12 @@ Three questions, all from the stage-cache tentpole:
    percentage of the cached run and bounded by
    ``reuse_overhead_pct_max``.
 
-Studies run ``batch_size=1`` so a trial's stages publish before the
-next trial consults the cache — in-flight duplicates (safe, but not
-hits) would otherwise mask the reduction.
+The off/on pair runs ``batch_size=1``, so a trial's stages publish
+before the next trial consults the cache.  A third, *concurrent* arm
+submits the whole grid at once (``batch_size=None``, default
+``cache_lease_wait_s=0``): duplicates of a stage still in flight
+coalesce onto its leader and resolve from its verified publication, so
+the same epoch reduction must hold without sequential submission.
 
 Two entry points:
 
@@ -30,7 +33,8 @@ Two entry points:
   if the epoch reduction drops below ``reuse_epoch_reduction_min``, if
   the speedup drops below ``reuse_speedup_min``, if verify overhead
   exceeds ``reuse_overhead_pct_max``, or if any hit was returned
-  unverified (must be exactly zero).
+  unverified (must be exactly zero).  The concurrent arm must match the
+  answers and clear the epoch-reduction floor too.
 * ``python benchmarks/bench_reuse.py`` — full run (three seeds) that
   writes the machine-readable ``BENCH_reuse.json`` to the repo root.
 """
@@ -73,14 +77,14 @@ def prefix_redundant_space():
     )
 
 
-def run_grid(root: Path, reuse: bool) -> dict:
+def run_grid(root: Path, reuse: bool, batch_size=1) -> dict:
     reset_epoch_counter()
     runner = PyCOMPSsRunner(
         "grid",
         space=prefix_redundant_space(),
         study_name="reuse-grid",
         stage_plan=StagePlan(block_epochs=BLOCK_EPOCHS),
-        batch_size=1,
+        batch_size=batch_size,
         runtime_config=RuntimeConfig(
             cluster=local_machine(WORKERS),
             reuse_cache=reuse,
@@ -112,16 +116,27 @@ def compare(seed: int) -> dict:
         off = run_grid(Path(off_dir), reuse=False)
     with TemporaryDirectory(prefix=f"reuse-on-{seed}-") as on_dir:
         on = run_grid(Path(on_dir), reuse=True)
-    reduction = 1.0 - on["epochs_trained"] / max(1, off["epochs_trained"])
+    with TemporaryDirectory(prefix=f"reuse-concurrent-{seed}-") as cc_dir:
+        concurrent = run_grid(Path(cc_dir), reuse=True, batch_size=None)
+
+    def reduction(run: dict) -> float:
+        trained = run["epochs_trained"] / max(1, off["epochs_trained"])
+        return round(1.0 - trained, 3)
+
     verify_s = on["reuse"].get("verify_time_s", 0.0)
     return {
         "seed": seed,
         "cache_off": off,
         "cache_on": on,
+        "cache_on_concurrent": concurrent,
         "same_best": on["best_config"] == off["best_config"]
         and on["best_val_accuracy"] == off["best_val_accuracy"],
         "same_accuracies": on["accuracies"] == off["accuracies"],
-        "epoch_reduction": round(reduction, 3),
+        "concurrent_same_accuracies": (
+            concurrent["accuracies"] == off["accuracies"]
+        ),
+        "epoch_reduction": reduction(on),
+        "concurrent_epoch_reduction": reduction(concurrent),
         "speedup": round(off["wall_s"] / max(1e-9, on["wall_s"]), 3),
         "hit_verify_overhead_pct": round(
             100.0 * verify_s / max(1e-9, on["wall_s"]), 3
@@ -131,19 +146,24 @@ def compare(seed: int) -> dict:
 
 def report(data: dict) -> None:
     banner(f"Cross-trial reuse — seed {data['seed']}")
-    off, on = data["cache_off"], data["cache_on"]
-    stats = on["reuse"]
+    off = data["cache_off"]
     print(
         f"        cache off: {off['wall_s']:.3f} s, "
         f"{off['epochs_trained']} epochs trained"
     )
+    for name, arm in (("cache on", "cache_on"),
+                      ("concurrent", "cache_on_concurrent")):
+        run = data[arm]
+        stats = run["reuse"]
+        print(
+            f"{name:>17}: {run['wall_s']:.3f} s, "
+            f"{run['epochs_trained']} epochs trained  "
+            f"({stats.get('hits', 0)} hits / {stats.get('misses', 0)} misses"
+            f", {stats.get('lease_waits', 0)} lease waits)"
+        )
     print(
-        f"         cache on: {on['wall_s']:.3f} s, "
-        f"{on['epochs_trained']} epochs trained  "
-        f"({stats.get('hits', 0)} hits / {stats.get('misses', 0)} misses)"
-    )
-    print(
-        f"  epoch reduction: {100 * data['epoch_reduction']:.0f}%   "
+        f"  epoch reduction: {100 * data['epoch_reduction']:.0f}% "
+        f"(concurrent {100 * data['concurrent_epoch_reduction']:.0f}%)   "
         f"speedup: x{data['speedup']}   "
         f"hit-verify overhead: {data['hit_verify_overhead_pct']:.2f}% "
         f"of cached wall"
@@ -157,11 +177,12 @@ def test_reuse_smoke():
     report(data)
     assert data["same_best"], data
     assert data["same_accuracies"], data
-    on = data["cache_on"]
-    assert on["reuse"]["unverified_hits"] == 0, on["reuse"]
-    assert (
-        data["epoch_reduction"] >= thresholds["reuse_epoch_reduction_min"]
-    ), data
+    assert data["concurrent_same_accuracies"], data
+    for arm in ("cache_on", "cache_on_concurrent"):
+        stats = data[arm]["reuse"]
+        assert stats["unverified_hits"] == 0, stats
+    for key in ("epoch_reduction", "concurrent_epoch_reduction"):
+        assert data[key] >= thresholds["reuse_epoch_reduction_min"], data
     assert data["speedup"] >= thresholds["reuse_speedup_min"], data
     assert (
         data["hit_verify_overhead_pct"]
@@ -180,17 +201,23 @@ def main() -> None:
         "workload": (
             f"staged grid: 3 optimizers x num_epochs (4, 8, 12), "
             f"block_epochs={BLOCK_EPOCHS}, epoch_sleep_s={EPOCH_SLEEP_S}, "
-            f"batch_size=1 on local_machine({WORKERS}); cache off vs on"
+            f"batch_size=1 on local_machine({WORKERS}); cache off vs on, "
+            "plus cache on with the whole grid submitted at once "
+            "(batch_size=None)"
         ),
         "runs": results,
         "worst_epoch_reduction": min(r["epoch_reduction"] for r in results),
+        "worst_concurrent_epoch_reduction": min(
+            r["concurrent_epoch_reduction"] for r in results
+        ),
         "worst_speedup": min(r["speedup"] for r in results),
         "worst_hit_verify_overhead_pct": max(
             r["hit_verify_overhead_pct"] for r in results
         ),
         "total_unverified_hits": sum(
-            r["cache_on"]["reuse"].get("unverified_hits", 0)
+            r[arm]["reuse"].get("unverified_hits", 0)
             for r in results
+            for arm in ("cache_on", "cache_on_concurrent")
         ),
     }
     OUTPUT_PATH.write_text(json.dumps(summary, indent=2) + "\n")

@@ -210,10 +210,11 @@ class RuntimeConfig:
         Wall-clock age past which another writer's single-flight lease
         counts as crashed and may be broken by a waiter.
     cache_lease_wait_s:
-        How long a submitter waits on a busy lease (seeded-jitter
-        backoff polling) for the other writer's publication before
-        degrading to an unleased recompute.  ``0`` (default) never
-        blocks submission.
+        How long a submitter waits on a lease held by *another process*
+        (seeded-jitter backoff polling) for that writer's publication
+        before degrading to an unleased recompute.  ``0`` (default)
+        never blocks submission.  Duplicates of a stage this runtime is
+        computing itself never wait: they coalesce onto it.
     cache_poison_threshold:
         Verification failures before a cache key is quarantined (the
         cache stops trusting and republishing it; the stage simply

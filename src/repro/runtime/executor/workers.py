@@ -425,7 +425,7 @@ class WorkerPoolExecutor(LocalExecutor):
         if pending.outcome == "crash":
             # Journal the attempt as failed so a driver resume re-runs it
             # — a crash can never appear as a (torn) completion.
-            self.runtime.journal_failed(task, node)
+            self.runtime.journal_attempt_failed(task, node)
         assert pending.exc is not None
         raise pending.exc
 

@@ -68,8 +68,15 @@ class TaskGraph:
         task: TaskInvocation,
         dependencies: Iterable[TaskInvocation],
         edge_labels: Optional[Dict[int, str]] = None,
+        hold: bool = False,
     ) -> None:
-        """Insert ``task`` depending on ``dependencies`` (may be empty)."""
+        """Insert ``task`` depending on ``dependencies`` (may be empty).
+
+        ``hold`` adds one pending count no dependency accounts for: the
+        task stays out of the ready set, even with every producer done,
+        until :meth:`release` drops it (or it is resolved without
+        running, through :meth:`mark_done`).
+        """
         tid = task.task_id
         if tid in self._tasks:
             raise ValueError(f"task {task.label} already in graph")
@@ -104,6 +111,8 @@ class TaskGraph:
                 self._unfinished_succs[dep_id] = (
                     self._unfinished_succs.get(dep_id, 0) + 1
                 )
+        if hold:
+            pending += 1
         self._pending_preds[tid] = pending
         # A task restored from a checkpoint enters the graph already DONE:
         # it holds its journaled result and must never reach the dispatcher.
@@ -136,6 +145,18 @@ class TaskGraph:
         ids = [t.task_id for t in tasks]
         self._ready.extendleft(reversed(ids))
         self.ready_ops += len(ids)
+
+    def release(self, task: TaskInvocation) -> bool:
+        """Drop the hold :meth:`add_task` placed; True if ``task`` became ready."""
+        tid = task.task_id
+        left = self._pending_preds[tid] - 1
+        self._pending_preds[tid] = left
+        if left == 0 and task.state is TaskState.SUBMITTED:
+            task.state = TaskState.READY
+            self._ready.append(tid)
+            self.ready_ops += 1
+            return True
+        return False
 
     def mark_done(self, task: TaskInvocation) -> List[TaskInvocation]:
         """Mark completion; returns newly-ready successor tasks.
@@ -186,8 +207,15 @@ class TaskGraph:
         self._pending_preds.pop(tid, None)
         self._unfinished_succs.pop(tid, None)
         labels = self._labels
+        tasks = self._tasks
         for pred_id in self._pred.pop(tid, ()):
             labels.pop((pred_id, tid), None)
+            pred = tasks.get(pred_id)
+            if pred is not None and pred.state is not TaskState.DONE:
+                # A task resolved from the reuse cache can finish before
+                # its own producer: unlink it so that producer's
+                # completion does not visit a freed successor.
+                self._succ[pred_id].remove(tid)
         for succ_id in self._succ.pop(tid, ()):
             labels.pop((tid, succ_id), None)
         self.freed_tasks += 1

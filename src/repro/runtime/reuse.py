@@ -33,13 +33,15 @@ engineered robustness-first:
   ``os.replace`` of a fully-fsynced temp file; a SIGKILL mid-write
   leaves a ``.tmp`` no reader ever opens.
 * **Single-flight leases.**  A writer claims ``<key>.lease`` with
-  ``O_CREAT | O_EXCL`` before computing; concurrent identical stages
-  (other tenant threads, other processes) wait with seeded-jitter
-  backoff for the publication instead of duplicating the work.  Leases
-  are judged stale by wall-clock age, so a crashed writer never wedges
-  waiters: they break the stale lease and take over, or time out and
-  recompute unleased.  Losing any race merely duplicates computation
-  (first atomic publish wins); it can never corrupt a value.
+  ``O_CREAT | O_EXCL`` before computing; identical stages in other
+  processes wait with seeded-jitter backoff for the publication instead
+  of duplicating the work.  (Within one runtime, duplicates never reach
+  the lease: the runtime coalesces them onto the task computing the
+  stage — see :meth:`note_coalesced`.)  Leases are judged stale by
+  wall-clock age, so a crashed writer never wedges waiters: they break
+  the stale lease and take over, or time out and recompute unleased.
+  Losing any race merely duplicates computation (first atomic publish
+  wins); it can never corrupt a value.
 * **Bounded disk.**  ``max_bytes`` caps the store; the evictor sheds
   entries LRU-by-atime (hits ``os.utime`` their entry) and never evicts
   a leased key — the writer that just claimed it is about to need it.
@@ -90,8 +92,9 @@ class ReuseCache:
         Wall-clock age past which a lease counts as crashed and may be
         broken by a waiter.
     lease_wait_s:
-        How long a submitter waits on a busy lease before degrading to
-        an unleased recompute.  ``0`` disables waiting (never blocks).
+        How long :meth:`acquire` waits on another writer's busy lease
+        before degrading to an unleased recompute.  ``0`` disables
+        waiting (never blocks).
     poison_threshold:
         Verification failures before a key is quarantined.
     seed:
@@ -199,7 +202,7 @@ class ReuseCache:
     # ------------------------------------------------------------------
     # Hit path
     # ------------------------------------------------------------------
-    def acquire(self, key: str) -> Any:
+    def acquire(self, key: str, wait: bool = True) -> Any:
         """Resolve ``key``: a verified value, or :data:`MISS` to compute.
 
         On a miss the cache tries to claim the key's single-flight
@@ -210,7 +213,10 @@ class ReuseCache:
         on for up to ``lease_wait_s`` (seeded-jitter backoff): the
         publication appearing turns the miss into a hit; a lease older
         than ``lease_timeout_s`` is broken (crashed writer); a timeout
-        degrades to an unleased recompute.
+        degrades to an unleased recompute.  ``wait=False`` skips the
+        wait: the runtime resolves duplicates it is computing itself by
+        coalescing them, so it only waits on other processes' leases,
+        and only where blocking is allowed.
         """
         from repro.runtime import resilience as rsl
 
@@ -227,7 +233,21 @@ class ReuseCache:
                 self.misses += 1
             self._event(rsl.CACHE_MISS, detail="lease acquired", key=key)
             return MISS
-        return self._wait_for_writer(key)
+        return self._wait_for_writer(key, self.lease_wait_s if wait else 0.0)
+
+    def note_coalesced(self, key: str, leader: str) -> None:
+        """A duplicate of ``key`` waits on ``leader``, in-process.
+
+        The runtime coalesces an invocation whose stage an unfinished
+        task of its own is computing: it never polls the lease, and
+        resolves through a verified fetch once ``leader`` publishes.
+        Counted as one lease wait, like a waiter on another process.
+        """
+        from repro.runtime import resilience as rsl
+
+        with self._lock:
+            self.lease_waits += 1
+        self._event(rsl.LEASE_WAIT, detail=f"coalesced onto {leader}", key=key)
 
     def _fetch_verified(self, key: str) -> Any:
         """Verified load of ``key``; corrupt/truncated/absent == MISS."""
@@ -367,17 +387,20 @@ class ReuseCache:
         self._event(rsl.LEASE_WAIT, detail="broke stale lease", key=key)
         return True
 
-    def _wait_for_writer(self, key: str) -> Any:
+    def _wait_for_writer(self, key: str, wait_s: float) -> Any:
         """Someone else computes ``key``: wait, take over, or degrade."""
         from repro.runtime import resilience as rsl
 
-        deadline = time.time() + self.lease_wait_s
+        # Monotonic: a wall-clock step must not stretch or cut the wait.
+        # Lease *age* stays on file mtime — it is compared across
+        # processes.
+        deadline = time.monotonic() + wait_s
         attempt = 0
-        waited = self.lease_wait_s > 0.0
+        waited = wait_s > 0.0
         if waited:
             with self._lock:
                 self.lease_waits += 1
-        while time.time() < deadline:
+        while time.monotonic() < deadline:
             attempt += 1
             # Deterministic per (seed, key, attempt) — same jitter in
             # any interleaving, so same-seed chaos reruns are stable.

@@ -258,6 +258,13 @@ class COMPSsRuntime:
         #: keyer (not the journal one): content keys touch no occurrence
         #: state and must exist even when journaling is off.
         self._content_keyer = ckpt.TaskKeyer()
+        #: In-flight stage coalescing: content key -> the unfinished task
+        #: of this runtime computing it (the *leader*), and -> the later
+        #: identical invocations waiting on it (*followers*, submission
+        #: order).  Followers are held out of the ready set and resolve
+        #: from the leader's verified publication (``_settle_followers``).
+        self._inflight: Dict[str, TaskInvocation] = {}
+        self._followers: Dict[str, List[TaskInvocation]] = {}
         # ---- Multi-tenant service mode (repro serve) ----
         #: Per-study sessions: namespaced keyer/journal/checkpoint/recovery
         #: bundles keyed by study id.  Empty outside service mode, in which
@@ -406,19 +413,60 @@ class COMPSsRuntime:
             )
         else:
             keyer, journal, recovery = self.keyer, self.journal, self.recovery
-        # Cross-trial reuse: resolve the stage's content key and consult
-        # the cache BEFORE taking the runtime lock — a busy single-flight
-        # lease may be waited on (bounded, seeded-jitter backoff), and
-        # other studies' submissions/completions must keep flowing while
-        # this thread waits.  Every outcome is safe under concurrency:
-        # a verified value restores, anything else computes.
+        # Cross-trial reuse: the first submitter of a content key in
+        # this runtime reserves it as the key's *leader* and consults the
+        # cache BEFORE taking the runtime lock — another process's busy
+        # single-flight lease may be waited on (bounded, seeded-jitter
+        # backoff), and other studies' submissions and completions must
+        # keep flowing while this thread waits.  A later submitter of a
+        # key this runtime is already computing never touches the cache
+        # here: it coalesces onto the leader under the lock.
         reuse = self.reuse
         content_key: Optional[str] = None
         cached: Any = _CACHE_MISS
+        leader: Optional[TaskInvocation] = None
         if reuse is not None and definition.cacheable:
             content_key = self._content_keyer.content_key_for(invocation)
             if content_key is not None:
+                with self.lock:
+                    leader = self._inflight.setdefault(content_key, invocation)
+        try:
+            if leader is invocation:
                 cached = reuse.acquire(content_key)
+            return self._enqueue(
+                invocation, keyer, journal, recovery, content_key, cached, leader
+            )
+        except BaseException:
+            # Never leave a reservation behind for a task that is not in
+            # the graph: its followers would wait forever.
+            if leader is invocation:
+                with self.lock:
+                    if (
+                        self._inflight.get(content_key) is invocation
+                        and self._settle_followers(content_key)
+                    ):
+                        self._dispatch_soon()
+            raise
+
+    def _enqueue(
+        self,
+        invocation: TaskInvocation,
+        keyer: Optional[ckpt.TaskKeyer],
+        journal: Optional[ckpt.WriteAheadJournal],
+        recovery: Optional[ckpt.RecoveryManager],
+        content_key: Optional[str],
+        cached: Any,
+        leader: Optional[TaskInvocation],
+    ) -> Union[Future, Tuple[Future, ...], None]:
+        """Detect dependencies, then insert ``invocation`` into the graph.
+
+        ``leader`` is the task of this runtime computing ``content_key``
+        (``invocation`` itself when it reserved the key), ``cached`` the
+        reserved leader's cache lookup.
+        """
+        definition = invocation.definition
+        args, kwargs = invocation.args, invocation.kwargs
+        reuse = self.reuse
         deps: Dict[int, TaskInvocation] = {}
         edge_labels: Dict[int, str] = {}
         restored: Any = ckpt._MISSING
@@ -445,6 +493,15 @@ class COMPSsRuntime:
                 if recovery is not None:
                     restored = recovery.restored_result(invocation.task_key)
             cache_hit = False
+            follows: Optional[TaskInvocation] = None
+            lead = leader is invocation
+            if leader is not None and not lead and restored is ckpt._MISSING:
+                follows = self._inflight.get(content_key)
+                if follows is None:
+                    # The leader seen before the lock has finished: its
+                    # entry, if any, is published.  Look without waiting.
+                    cached = reuse.acquire(content_key, wait=False)
+                    lead = cached is _CACHE_MISS
             if restored is not ckpt._MISSING:
                 # Journaled-complete with a stored output: restore instead
                 # of executing (exactly-once for the replayed prefix).
@@ -453,7 +510,7 @@ class COMPSsRuntime:
                 # result so other trials hit — and the lease is released.
                 invocation.state = TaskState.DONE
                 invocation.result = restored
-                if content_key is not None and reuse.holds_lease(content_key):
+                if lead and reuse.holds_lease(content_key):
                     reuse.publish(content_key, restored)
             elif cached is not _CACHE_MISS:
                 # Verified cross-trial cache hit: same restore machinery
@@ -466,7 +523,14 @@ class COMPSsRuntime:
             dep_list = list(deps.values())
             if self._locality is not None:
                 self._locality.register_dependencies(invocation, dep_list)
-            self.graph.add_task(invocation, dep_list, edge_labels)
+            self.graph.add_task(
+                invocation, dep_list, edge_labels, hold=follows is not None
+            )
+            if follows is not None:
+                self._followers.setdefault(content_key, []).append(invocation)
+                reuse.note_coalesced(content_key, follows.label)
+            elif lead:
+                self._inflight[content_key] = invocation
             if restored is not ckpt._MISSING:
                 Executor.fan_out_result(invocation, futures, restored)
                 # Restored outputs verified at spill load; seal them so
@@ -491,6 +555,13 @@ class COMPSsRuntime:
                         **({"cached": True} if cache_hit
                            else {"restored": True}),
                     )
+            # A reserved leader resolved without running hands the key to
+            # whoever coalesced onto it meanwhile.
+            settled = (
+                lead
+                and restored is not ckpt._MISSING
+                and self._settle_followers(content_key)
+            )
             for dead in dep_list:
                 if dead.state != TaskState.FAILED:
                     continue
@@ -511,7 +582,7 @@ class COMPSsRuntime:
             # Periodically stop the cycle collector re-scanning the
             # accumulated submission history (O(1), see gc_checkpoint).
             self.gc_checkpoint()
-        if restored is ckpt._MISSING:
+        if (restored is ckpt._MISSING and follows is None) or settled:
             self.executor.notify_submitted(invocation)
         if not futures:
             return None
@@ -703,6 +774,57 @@ class COMPSsRuntime:
                     # (payload flipped, sidecar intact).  Detection happens
                     # at the next hit's verify — never silently consumed.
                     reuse.corrupt_entry(task.content_key)
+            if self._inflight.get(task.content_key) is task:
+                self._settle_followers(task.content_key)
+
+    def _settle_followers(self, key: str) -> bool:
+        """The leader of ``key`` finished: resolve or release its followers.
+
+        Called once the leader has completed (and published, unless
+        chaos intervened) or failed terminally.  Followers resolve in
+        submission order through a *verified* cache fetch — never the
+        leader's in-memory value — and finish exactly like a submit-time
+        hit.  Without a verified entry (failure, cancellation, quarantine,
+        unpicklable value, corruption, wedged lease) the first live
+        follower takes the key over, re-claiming the lease, and the rest
+        follow it.  Cancelled followers stay FAILED.  Returns True when
+        any follower changed state.
+        """
+        reuse = self.reuse
+        with self.lock:
+            del self._inflight[key]
+            followers = self._followers.pop(key, ())
+            settled = False
+            for i, follower in enumerate(followers):
+                if follower.state is not TaskState.SUBMITTED:
+                    continue  # cancelled while following
+                settled = True
+                value = reuse.acquire(key, wait=False)
+                if value is not _CACHE_MISS:
+                    self._finish_cached(follower, value)
+                    continue
+                self._inflight[key] = follower
+                rest = [
+                    t for t in followers[i + 1:]
+                    if t.state is TaskState.SUBMITTED
+                ]
+                if rest:
+                    self._followers[key] = rest
+                self.graph.release(follower)
+                break
+            return settled
+
+    def _finish_cached(self, task: TaskInvocation, value: Any) -> None:
+        """Complete a held follower with a verified cache value."""
+        task.result = value
+        Executor.fan_out_result(task, self._futures.get(task.task_id, []), value)
+        self._seal_outputs(task, value)
+        journal = self.journal_for(task)
+        if journal is not None and task.task_key is not None:
+            journal.append(
+                ckpt.COMPLETED, task.task_key, task=task.label, cached=True
+            )
+        self.graph.mark_done(task)
 
     def _on_task_freed(self, task: TaskInvocation) -> None:
         """Streaming: drop registry entries of a graph-freed task."""
@@ -817,11 +939,31 @@ class COMPSsRuntime:
         return session.journal if session is not None else self.journal
 
     def journal_failed(self, task: TaskInvocation, node: str = "") -> None:
-        """Journal a terminal failure and surrender its reuse lease."""
-        if self.reuse is not None and task.content_key is not None:
-            # A terminally-failed stage never publishes: surrender the
-            # single-flight lease so waiters stop spinning on it.
-            self.reuse.abandon(task.content_key)
+        """Journal a terminal failure; a failed leader hands its key on.
+
+        Every terminal failure passes through here.  A failed stage
+        leader never publishes: it surrenders the single-flight lease
+        (so other processes stop waiting on it) and releases its
+        followers, the first of which computes the stage instead.
+        """
+        key = task.content_key
+        if key is not None and self._inflight.get(key) is task:
+            self.reuse.abandon(key)
+            if self._settle_followers(key):
+                self._dispatch_soon()
+        self.journal_attempt_failed(task, node)
+
+    def _dispatch_soon(self) -> None:
+        """Run a scheduling round once the current handler returns.
+
+        Followers settled outside a completion sit in the ready set (or
+        unlocked their consumers) with no round of their own coming.
+        """
+        lifecycle = self.executor.lifecycle
+        lifecycle.clock.call_at(lifecycle.clock.now, lifecycle.dispatch, "settle")
+
+    def journal_attempt_failed(self, task: TaskInvocation, node: str = "") -> None:
+        """Journal a failed attempt, so a resumed session re-runs the task."""
         journal = self.journal_for(task)
         if journal is None or task.task_key is None:
             return
@@ -861,12 +1003,15 @@ class COMPSsRuntime:
             dep.attempt_history.append(f"cancelled: {exc}")
             dep.state = TaskState.FAILED
             dep.error = exc
+            victims.append(dep)
+        # Journal only once every victim is FAILED: a cancelled leader's
+        # followers that are victims too must not be released to run.
+        for dep in victims:
             self.journal_failed(dep)
             self.resilience.record(
                 now, UPSTREAM_CANCELLED, dep.label, "",
                 detail=f"producer {upstream} failed terminally",
             )
-            victims.append(dep)
         return victims
 
     # ------------------------------------------------------------------
@@ -1046,8 +1191,11 @@ class COMPSsRuntime:
                 task.attempt_history.append(f"study abandoned: {exc}")
                 task.state = TaskState.FAILED
                 task.error = exc
-                self.journal_failed(task)
                 victims.append(task)
+            # After every victim is FAILED (see _cancel_downstream): only
+            # other studies' followers of an abandoned leader run on.
+            for task in victims:
+                self.journal_failed(task)
             self.dispatcher.purge(victims)
         self.resilience.record(
             now, kind, detail=f"study={study_id} reason={reason} "

@@ -180,6 +180,41 @@ class TestTaskGraph:
         g.requeue(popped)
         assert g.pop_ready() == [a, b]
 
+    def test_held_task_waits_for_release_and_producers(self):
+        g = TaskGraph()
+        a, held, alone = make_task("a"), make_task("held"), make_task("alone")
+        g.add_task(a, [])
+        g.add_task(held, [a], hold=True)
+        g.add_task(alone, [], hold=True)
+        assert g.pop_ready() == [a]
+        assert alone.state == TaskState.SUBMITTED  # no producer, still held
+        assert g.release(alone)
+        assert not g.release(held)  # its producer is still pending
+        assert g.mark_done(a) == [held]
+        assert g.pop_ready() == [alone, held]
+
+    def test_held_task_resolved_without_running(self):
+        g = TaskGraph()
+        held, consumer = make_task("held"), make_task("consumer")
+        g.add_task(held, [], hold=True)
+        g.add_task(consumer, [held])
+        assert g.mark_done(held) == [consumer]
+        assert g.pop_ready() == [consumer]
+
+    def test_streaming_frees_a_task_that_finished_before_its_producer(self):
+        # A cache-resolved task can complete while its own producer still
+        # runs; once freed, the producer's completion must not visit it.
+        g = TaskGraph()
+        g.stream_completed = True
+        producer, early, consumer = (make_task(x) for x in "pec")
+        g.add_task(producer, [])
+        g.add_task(early, [producer], hold=True)
+        g.add_task(consumer, [early])
+        g.mark_done(early)
+        g.mark_done(consumer)  # frees ``early``
+        assert g.mark_done(producer) == []
+        assert g.n_tasks == 0
+
     def test_edge_labels(self):
         g = TaskGraph()
         a, b = make_task(), make_task()

@@ -17,6 +17,7 @@ Covers the tentpole contract of the content-addressed stage cache:
 
 import os
 import time
+from collections import Counter
 
 import pytest
 
@@ -31,8 +32,12 @@ from repro.hpo.stages import (
     stage_prepare,
     stage_train_mock,
 )
+from repro.runtime import resilience as rsl
 from repro.runtime.config import RuntimeConfig
+from repro.runtime.fault import TaskFailedError, UpstreamFailureError
 from repro.runtime.reuse import MISS, ReuseCache
+from repro.runtime.runtime import COMPSsRuntime
+from repro.runtime.task_definition import TaskDefinition, TaskState
 from repro.simcluster.failures import FailureInjector, FailurePlan
 from repro.simcluster.machines import local_machine
 
@@ -41,6 +46,20 @@ SPACE = {"optimizer": ["SGD", "Adam", "RMSprop"], "num_epochs": [4, 8, 12]}
 
 def make_cache(tmp_path, **kw):
     return ReuseCache(tmp_path / "cache", **kw)
+
+
+def slow_square(x):
+    time.sleep(0.2)
+    return x * x
+
+
+UNPUBLISHABLE_RUNS = []
+
+
+def unpublishable(x):
+    UNPUBLISHABLE_RUNS.append(x)
+    time.sleep(0.05)
+    return lambda: x  # unpicklable: the cache can never publish it
 
 
 # ----------------------------------------------------------------------
@@ -172,6 +191,33 @@ class TestLeases:
         assert writer.acquire("k") is MISS  # fresh lease, never publishes
         assert waiter.acquire("k") is MISS  # timed out, computes unleased
         assert not waiter.holds_lease("k")
+        assert waiter.stats()["lease_timeouts"] == 1
+
+    def test_wall_clock_step_does_not_stretch_the_wait(
+        self, tmp_path, monkeypatch
+    ):
+        import types
+
+        from repro.runtime import reuse as reuse_module
+
+        writer = make_cache(tmp_path)
+        waiter = make_cache(tmp_path, lease_wait_s=0.2)
+        assert writer.acquire("k") is MISS  # fresh lease, never published
+        real = time.time
+        calls = []
+
+        def stepped_back():
+            # The wall clock jumps 5 s back once the wait has begun.
+            calls.append(None)
+            return real() - (5.0 if len(calls) > 1 else 0.0)
+
+        monkeypatch.setattr(reuse_module, "time", types.SimpleNamespace(
+            time=stepped_back, monotonic=time.monotonic,
+            perf_counter=time.perf_counter, sleep=time.sleep,
+        ))
+        started = time.monotonic()
+        assert waiter.acquire("k") is MISS
+        assert time.monotonic() - started < 2.0  # the 0.2 s budget holds
         assert waiter.stats()["lease_timeouts"] == 1
 
     def test_abandon_frees_the_lease_for_waiters(self, tmp_path):
@@ -345,23 +391,41 @@ class TestStages:
 # ----------------------------------------------------------------------
 # Integration: staged grid with reuse on vs off
 # ----------------------------------------------------------------------
-def staged_study(tmp_path, name, reuse, seed=0, injector=None,
-                 space=None, plan=None):
-    config = RuntimeConfig(
+def staged_config(tmp_path, reuse, injector=None, **config):
+    return RuntimeConfig(
         cluster=local_machine(4),
         reuse_cache=reuse,
         cache_dir=str(tmp_path / "cache") if reuse else None,
         failure_injector=injector,
+        **config,
     )
-    runner = PyCOMPSsRunner(
+
+
+def staged_runner(name, space=None, plan=None, batch_size=1, config=None):
+    """The staged grid.  ``batch_size=1`` submits trials one by one, so
+    prefixes publish before the next trial consults the cache;
+    ``batch_size=None`` submits the whole grid at once, so identical
+    stages are in flight together and coalesce."""
+    return PyCOMPSsRunner(
         "grid",
         space=SearchSpace.from_dict(space or SPACE),
         runtime_config=config,
         stage_plan=plan or StagePlan(block_epochs=4),
         study_name=name,
-        batch_size=1,  # sequential trials: prefixes resolve before reuse
+        batch_size=batch_size,
     )
-    return runner.run()
+
+
+def staged_study(tmp_path, name, reuse, seed=0, injector=None,
+                 space=None, plan=None, batch_size=1, **config):
+    return staged_runner(
+        name, space, plan, batch_size,
+        staged_config(tmp_path, reuse, injector, **config),
+    ).run()
+
+
+def answers(study):
+    return {t.trial_id: t.val_accuracy for t in study.completed()}
 
 
 def best_of(study):
@@ -419,8 +483,146 @@ class TestStagedGridReuse:
 
 
 # ----------------------------------------------------------------------
+# Integration: in-flight duplicates coalesce onto their leader
+# ----------------------------------------------------------------------
+#: The staged grid with a real per-epoch cost, so a stage is still in
+#: flight when its duplicates are submitted.
+SLEEPY_SPACE = dict(SPACE, epoch_sleep_s=[0.01])
+
+
+def concurrent_study(tmp_path, name, reuse=True, injector=None, **config):
+    """The whole grid submitted at once: duplicates are in flight together."""
+    return staged_study(tmp_path, name, reuse=reuse, injector=injector,
+                        space=SLEEPY_SPACE, batch_size=None, **config)
+
+
+class TestInFlightCoalescing:
+    """19 distinct stages among 36 submitted: 1 prepare, 9 train blocks
+    and 9 finals run; the other 17 resolve from verified entries."""
+
+    def test_concurrent_submission_trains_each_epoch_once(self, tmp_path):
+        baseline = concurrent_study(tmp_path / "off", "off", reuse=False)
+        reset_epoch_counter()
+        study = concurrent_study(tmp_path / "on", "on")
+        epochs = executed_epochs()
+        reset_epoch_counter()
+        assert epochs == 36  # not 72: no duplicate recomputes unleased
+        reuse = study.metadata["reuse"]
+        assert (reuse["hits"], reuse["misses"]) == (17, 19)
+        assert reuse["unverified_hits"] == 0
+        assert answers(study) == answers(baseline)
+
+    @pytest.mark.parametrize("lease_wait_s", [0.0, 0.5])
+    def test_simulated_clock_coalesces_without_polling(
+        self, tmp_path, lease_wait_s
+    ):
+        """Virtual time only advances inside ``wait_for``, so a lease
+        polled on the submitting thread could never see the publication:
+        duplicates must coalesce instead of sleeping out the wait."""
+        reset_epoch_counter()
+        local = concurrent_study(tmp_path / "local", "local")
+        local_epochs = executed_epochs()
+        reset_epoch_counter()
+        started = time.perf_counter()
+        sim = concurrent_study(
+            tmp_path / "sim", "sim", executor="simulated",
+            execute_bodies=True, cache_lease_wait_s=lease_wait_s,
+        )
+        wall = time.perf_counter() - started
+        sim_epochs = executed_epochs()
+        reset_epoch_counter()
+        want, got = local.metadata["reuse"], sim.metadata["reuse"]
+        assert sim_epochs == local_epochs == 36
+        assert (got["hits"], got["misses"]) == (want["hits"], want["misses"])
+        assert got["lease_timeouts"] == 0
+        assert wall < 1.0
+        assert answers(sim) == answers(local)
+
+    def test_unpublishable_leader_hands_the_stage_on(self, tmp_path):
+        UNPUBLISHABLE_RUNS.clear()
+        stage = TaskDefinition(
+            func=unpublishable, name="unpublishable", returns=object,
+            n_returns=1, cacheable=True,
+        )
+        with COMPSsRuntime(staged_config(tmp_path, reuse=True)) as runtime:
+            futures = [runtime.submit(stage, (3,), {}) for _ in range(3)]
+            values = runtime.wait_on(futures)
+            stats = runtime.reuse.stats()
+        # No verified entry ever lands, so each follower in turn takes
+        # the stage over and computes it once.
+        assert [v() for v in values] == [3, 3, 3]
+        assert UNPUBLISHABLE_RUNS == [3, 3, 3]
+        assert stats["lease_waits"] == 2
+        assert (stats["hits"], stats["publish_skipped"]) == (0, 3)
+
+    def test_each_follower_counts_one_lease_wait(self, tmp_path):
+        config = staged_config(
+            tmp_path, reuse=True, executor="simulated", execute_bodies=True
+        )
+        with COMPSsRuntime(config) as runtime:
+            staged_runner("count", SLEEPY_SPACE, batch_size=None).run()
+            stats = runtime.reuse.stats()
+            waits = runtime.resilience.of_kind(rsl.LEASE_WAIT)
+            analysed = runtime.analysis().reuse()
+        # The simulated grid is submitted before any stage runs, so every
+        # duplicate follows a leader and resolves with one verified hit.
+        assert stats["lease_waits"] == stats["hits"] == 17
+        assert analysed["lease_waits"] == stats["lease_waits"]
+        assert all(e.detail.startswith("coalesced onto stage_") for e in waits)
+
+
+# ----------------------------------------------------------------------
 # Chaos acceptance
 # ----------------------------------------------------------------------
+def follower_chaos_injector(seed):
+    """Every way a leader can fail its followers, in one concurrent grid.
+
+    Labels follow submission order (see ``TestInFlightCoalescing``):
+    per optimizer, trial (4 epochs) is prepare/train/final, then the 8-
+    and 12-epoch trials, whose leading train blocks follow the first
+    trial's.
+
+    * Adam: leader ``stage_train-14`` fails terminally; its follower
+      ``-17`` takes over but wedges its lease, so ``-21`` computes too and
+      fails terminally — while ``-22``, its consumer, still follows the
+      slow leader ``-18``: a follower whose own upstream failed.
+    * SGD: leader ``stage_train-2``'s entry rots after publication.
+    * RMSprop: leader ``stage_train-26`` never publishes (wedged lease).
+    * Plus 10 % seeded stochastic corruption of every publication.
+    """
+    every = (0, 1, 2)  # the default retry budget: three attempts
+    plan = (
+        FailurePlan()
+        .fail_task("stage_train-14", *every)
+        .stall_cache_lease("stage_train-17")
+        .fail_task("stage_train-21", *every)
+        .slow_task("stage_train-18", 10.0)
+        .corrupt_cache_entry("stage_train-2")
+        .stall_cache_lease("stage_train-26")
+    )
+    return FailureInjector(plan=plan, seed=seed, cache_corrupt_prob=0.10)
+
+
+def follower_chaos_run(tmp_path, seed, executor):
+    """One chaotic concurrent grid: study, runtime state, epochs trained."""
+    extra = {"execute_bodies": True} if executor == "simulated" else {}
+    config = staged_config(
+        tmp_path, reuse=True, injector=follower_chaos_injector(seed),
+        executor=executor, **extra,
+    )
+    reset_epoch_counter()
+    with COMPSsRuntime(config) as runtime:
+        study = staged_runner("chaos", SLEEPY_SPACE, batch_size=None).run()
+        tasks = runtime.graph.tasks()
+        timeline = [
+            (e.time, e.kind, e.task_label, e.node, e.detail)
+            for e in runtime.resilience.events
+        ]
+    epochs = executed_epochs()
+    reset_epoch_counter()
+    return study, tasks, timeline, epochs
+
+
 class TestChaosAcceptance:
     @pytest.mark.parametrize("seed", [11, 23, 37])
     def test_chaos_matches_cache_off_with_zero_unverified_reads(
@@ -459,6 +661,77 @@ class TestChaosAcceptance:
         reset_epoch_counter()
         assert {t.trial_id: t.val_accuracy for t in rerun.completed()} == on
         assert best_of(rerun) == best_of(chaotic)
+
+    @pytest.mark.parametrize("executor", ["local", "simulated"])
+    @pytest.mark.parametrize("seed", [11, 23, 37])
+    def test_combined_faults_on_coalesced_stages(self, tmp_path, seed,
+                                                 executor):
+        """Failed, cancelled, corrupted and wedged leaders never leak a
+        wrong or unverified value into a follower, nor hang one."""
+        baseline = concurrent_study(tmp_path / "off", "off", reuse=False)
+        study, tasks, timeline, epochs = follower_chaos_run(
+            tmp_path / "on", seed, executor
+        )
+        got = answers(study)
+        assert got  # the SGD and RMSprop chains survive every fault
+        want = answers(baseline)
+        assert got == {tid: want[tid] for tid in got}
+        reuse = study.metadata["reuse"]
+        assert reuse["unverified_hits"] == 0
+        assert reuse["corrupt"] >= 1
+        by_label = {t.label: t for t in tasks}
+        # A follower cancelled by its own upstream stays cancelled, even
+        # though its leader publishes later.
+        assert isinstance(by_label["stage_train-22"].error,
+                          UpstreamFailureError)
+        for task in tasks:
+            if isinstance(task.error, UpstreamFailureError):
+                assert task.state == TaskState.FAILED, task.label
+        # Each run of a stage was its own leader's one claim on the key:
+        # the stage is recomputed at most once per released leader.
+        ran = Counter(
+            t.content_key for t in tasks
+            if t.attempts or t.start_time is not None
+        )
+        claims = Counter(e[2] for e in timeline if e[1] == rsl.CACHE_MISS)
+        for key, runs in ran.items():
+            assert runs <= claims[f"key={key}"], key
+        # Same seed, same outcome; bit-identical on the virtual clock.
+        again, _, again_timeline, again_epochs = follower_chaos_run(
+            tmp_path / "rerun", seed, executor
+        )
+        assert answers(again) == got
+        assert again_epochs == epochs
+        if executor == "simulated":
+            assert again_timeline == timeline
+
+    def test_abandoned_leader_study_lets_other_tenant_follow_through(
+        self, tmp_path
+    ):
+        config = RuntimeConfig(
+            cluster=local_machine(2), reuse_cache=True,
+            cache_dir=str(tmp_path / "cache"),
+        )
+        square = TaskDefinition(
+            func=slow_square, name="slow_square", returns=object,
+            n_returns=1, cacheable=True,
+        )
+        with COMPSsRuntime(config) as runtime:
+            owner = runtime.open_study("owner", tenant="a")
+            other = runtime.open_study("other", tenant="b")
+            with runtime.study_scope(owner):
+                lead = runtime.submit(square, (7,), {})
+            with runtime.study_scope(other):
+                follow = runtime.submit(square, (7,), {})
+            assert follow.invocation.state == TaskState.SUBMITTED  # held
+            assert runtime.abandon_study("owner", reason="test") == 1
+            assert runtime.wait_on(follow) == 49
+            with pytest.raises(TaskFailedError):
+                runtime.wait_on(lead)
+            stats = runtime.reuse.stats()
+        assert stats["lease_waits"] == 1
+        assert stats["published"] == 1
+        assert stats["unverified_hits"] == 0
 
     def test_scripted_corruption_is_detected_and_survived(self, tmp_path):
         plan = (
