@@ -14,7 +14,7 @@ import inspect
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.runtime import checkpoint as ckpt
 from repro.runtime import integrity as igr
@@ -27,7 +27,12 @@ from repro.runtime.executor.local import LocalExecutor
 from repro.runtime.executor.simulated import SimulatedExecutor
 from repro.runtime.future import Future, is_future
 from repro.runtime.graph import TaskGraph
-from repro.runtime.fault import StudyAbandonedError, UpstreamFailureError
+from repro.runtime.fault import (
+    PoisonTaskError,
+    ResourceStarvationError,
+    StudyAbandonedError,
+    UpstreamFailureError,
+)
 from repro.pycompss_api.task_group import record_submission
 from repro.runtime.preemption import PreemptionController
 from repro.runtime.reuse import MISS as _CACHE_MISS, ReuseCache
@@ -262,9 +267,11 @@ class COMPSsRuntime:
         #: of this runtime computing it (the *leader*), and -> the later
         #: identical invocations waiting on it (*followers*, submission
         #: order).  Followers are held out of the ready set and resolve
-        #: from the leader's verified publication (``_settle_followers``).
+        #: from the leader's verified publication (``_resolve_followers``).
+        #: A finished leader stays registered while its followers settle.
         self._inflight: Dict[str, TaskInvocation] = {}
         self._followers: Dict[str, List[TaskInvocation]] = {}
+        self._settling: Set[str] = set()
         # ---- Multi-tenant service mode (repro serve) ----
         #: Per-study sessions: namespaced keyer/journal/checkpoint/recovery
         #: bundles keyed by study id.  Empty outside service mode, in which
@@ -441,11 +448,9 @@ class COMPSsRuntime:
             # the graph: its followers would wait forever.
             if leader is invocation:
                 with self.lock:
-                    if (
-                        self._inflight.get(content_key) is invocation
-                        and self._settle_followers(content_key)
-                    ):
-                        self._dispatch_soon()
+                    if self._inflight.get(content_key) is invocation:
+                        reuse.abandon(content_key)
+                        self._settle_followers(content_key)
             raise
 
     def _enqueue(
@@ -498,10 +503,10 @@ class COMPSsRuntime:
             if leader is not None and not lead and restored is ckpt._MISSING:
                 follows = self._inflight.get(content_key)
                 if follows is None:
-                    # The leader seen before the lock has finished: its
-                    # entry, if any, is published.  Look without waiting.
-                    cached = reuse.acquire(content_key, wait=False)
-                    lead = cached is _CACHE_MISS
+                    # The leader seen before the lock has finished and
+                    # settled: queue behind it all the same, so the cache
+                    # is read outside the lock (_resolve_followers).
+                    follows = self._inflight[content_key] = leader
             if restored is not ckpt._MISSING:
                 # Journaled-complete with a stored output: restore instead
                 # of executing (exactly-once for the replayed prefix).
@@ -529,8 +534,8 @@ class COMPSsRuntime:
             if follows is not None:
                 self._followers.setdefault(content_key, []).append(invocation)
                 reuse.note_coalesced(content_key, follows.label)
-            elif lead:
-                self._inflight[content_key] = invocation
+                if follows.state in (TaskState.DONE, TaskState.FAILED):
+                    self._settle_followers(content_key)
             if restored is not ckpt._MISSING:
                 Executor.fan_out_result(invocation, futures, restored)
                 # Restored outputs verified at spill load; seal them so
@@ -555,13 +560,10 @@ class COMPSsRuntime:
                         **({"cached": True} if cache_hit
                            else {"restored": True}),
                     )
-            # A reserved leader resolved without running hands the key to
-            # whoever coalesced onto it meanwhile.
-            settled = (
-                lead
-                and restored is not ckpt._MISSING
-                and self._settle_followers(content_key)
-            )
+            if lead and restored is not ckpt._MISSING:
+                # A reserved leader resolved without running hands the
+                # key to whoever coalesced onto it meanwhile.
+                self._settle_followers(content_key)
             for dead in dep_list:
                 if dead.state != TaskState.FAILED:
                     continue
@@ -582,7 +584,7 @@ class COMPSsRuntime:
             # Periodically stop the cycle collector re-scanning the
             # accumulated submission history (O(1), see gc_checkpoint).
             self.gc_checkpoint()
-        if (restored is ckpt._MISSING and follows is None) or settled:
+        if restored is ckpt._MISSING and follows is None:
             self.executor.notify_submitted(invocation)
         if not futures:
             return None
@@ -777,42 +779,69 @@ class COMPSsRuntime:
             if self._inflight.get(task.content_key) is task:
                 self._settle_followers(task.content_key)
 
-    def _settle_followers(self, key: str) -> bool:
-        """The leader of ``key`` finished: resolve or release its followers.
+    def _settle_followers(self, key: str) -> None:
+        """The leader of ``key`` finished: settle its followers soon.
 
-        Called once the leader has completed (and published, unless
-        chaos intervened) or failed terminally.  Followers resolve in
-        submission order through a *verified* cache fetch — never the
-        leader's in-memory value — and finish exactly like a submit-time
-        hit.  Without a verified entry (failure, cancellation, quarantine,
-        unpicklable value, corruption, wedged lease) the first live
-        follower takes the key over, re-claiming the lease, and the rest
-        follow it.  Cancelled followers stay FAILED.  Returns True when
-        any follower changed state.
+        Called, lock held, once the leader has completed (and published,
+        unless chaos intervened), failed terminally or resolved without
+        running.  The followers' cache reads must not hold the lock, so
+        :meth:`_resolve_followers` runs next on the executor's clock; the
+        finished leader stays registered until it is done, so duplicates
+        submitted meanwhile queue up behind the waiting ones.
+        """
+        if key not in self._followers:
+            del self._inflight[key]
+        elif key not in self._settling:
+            self._settling.add(key)
+            clock = self.executor.lifecycle.clock
+            clock.call_at(clock.now, self._resolve_followers, "settle", (key,))
+
+    def _resolve_followers(self, key: str) -> None:
+        """Resolve ``key``'s followers in submission order, or hand it on.
+
+        Each follower gets its own verified fetch (sha256 sidecar plus a
+        fresh unpickle, never the leader's in-memory value), read without
+        the runtime lock, and finishes exactly like a submit-time hit.
+        Without a verified entry (failure, cancellation, quarantine,
+        unpicklable value, corruption, wedged lease) the fetch re-claims
+        the lease and the follower becomes the key's leader; the rest
+        follow it.  Cancelled followers stay FAILED.
         """
         reuse = self.reuse
-        with self.lock:
-            del self._inflight[key]
-            followers = self._followers.pop(key, ())
-            settled = False
-            for i, follower in enumerate(followers):
+        finished = False
+        while True:
+            with self.lock:
+                queue = self._followers.get(key)
+                while queue and queue[0].state is not TaskState.SUBMITTED:
+                    queue.pop(0)  # cancelled while following
+                if not queue:
+                    self._followers.pop(key, None)
+                    del self._inflight[key]
+                    self._settling.discard(key)
+                    break
+                follower = queue[0]
+            value = reuse.acquire(key, wait=False)
+            with self.lock:
                 if follower.state is not TaskState.SUBMITTED:
-                    continue  # cancelled while following
-                settled = True
-                value = reuse.acquire(key, wait=False)
+                    # Cancelled during the read: a claimed lease goes back.
+                    if value is _CACHE_MISS:
+                        reuse.abandon(key)
+                    continue
+                queue.pop(0)
                 if value is not _CACHE_MISS:
                     self._finish_cached(follower, value)
+                    finished = True
                     continue
                 self._inflight[key] = follower
-                rest = [
-                    t for t in followers[i + 1:]
-                    if t.state is TaskState.SUBMITTED
-                ]
-                if rest:
-                    self._followers[key] = rest
+                if not queue:
+                    del self._followers[key]
+                self._settling.discard(key)
                 self.graph.release(follower)
                 break
-            return settled
+        if finished:
+            # No attempt completed: wake waiters blocked on the followers.
+            self.executor.notify_task_resolutions()
+        self.executor.lifecycle.dispatch()
 
     def _finish_cached(self, task: TaskInvocation, value: Any) -> None:
         """Complete a held follower with a verified cache value."""
@@ -944,23 +973,39 @@ class COMPSsRuntime:
         Every terminal failure passes through here.  A failed stage
         leader never publishes: it surrenders the single-flight lease
         (so other processes stop waiting on it) and releases its
-        followers, the first of which computes the stage instead.
+        followers, the first of which computes the stage instead —
+        unless the failure is a property of the stage itself (poison,
+        starvation), which fails them too (:meth:`_fail_followers`).
         """
         key = task.content_key
         if key is not None and self._inflight.get(key) is task:
             self.reuse.abandon(key)
-            if self._settle_followers(key):
-                self._dispatch_soon()
+            if isinstance(task.error, (PoisonTaskError, ResourceStarvationError)):
+                self._fail_followers(key, task)
+            self._settle_followers(key)
         self.journal_attempt_failed(task, node)
 
-    def _dispatch_soon(self) -> None:
-        """Run a scheduling round once the current handler returns.
+    def _fail_followers(self, key: str, leader: TaskInvocation) -> None:
+        """Fail ``leader``'s followers with its non-transient error.
 
-        Followers settled outside a completion sit in the ready set (or
-        unlocked their consumers) with no round of their own coming.
+        A stage that killed its workers or starved for every candidate
+        node would only repeat the leader's fate follower after follower,
+        each with a fresh retry budget or starvation timeout.  They fail
+        now, together, as identical tasks run side by side would.
         """
-        lifecycle = self.executor.lifecycle
-        lifecycle.clock.call_at(lifecycle.clock.now, lifecycle.dispatch, "settle")
+        exc = leader.error
+        victims = [
+            t for t in self._followers.get(key, ())
+            if t.state is TaskState.SUBMITTED
+        ]
+        for follower in victims:
+            follower.attempt_history.append(f"leader {leader.label} failed: {exc}")
+            follower.state = TaskState.FAILED
+            follower.error = exc
+        now = self.executor.clock()
+        for follower in victims:
+            self.journal_failed(follower)
+            self.fail_descendants(follower, now)
 
     def journal_attempt_failed(self, task: TaskInvocation, node: str = "") -> None:
         """Journal a failed attempt, so a resumed session re-runs the task."""

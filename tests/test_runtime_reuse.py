@@ -16,6 +16,7 @@ Covers the tentpole contract of the content-addressed stage cache:
 """
 
 import os
+import threading
 import time
 from collections import Counter
 
@@ -34,7 +35,12 @@ from repro.hpo.stages import (
 )
 from repro.runtime import resilience as rsl
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.fault import TaskFailedError, UpstreamFailureError
+from repro.runtime.fault import (
+    PoisonTaskError,
+    ResourceStarvationError,
+    TaskFailedError,
+    UpstreamFailureError,
+)
 from repro.runtime.reuse import MISS, ReuseCache
 from repro.runtime.runtime import COMPSsRuntime
 from repro.runtime.task_definition import TaskDefinition, TaskState
@@ -60,6 +66,27 @@ def unpublishable(x):
     UNPUBLISHABLE_RUNS.append(x)
     time.sleep(0.05)
     return lambda: x  # unpicklable: the cache can never publish it
+
+
+STAGE_RUNS = []
+
+
+def poisonous(x):
+    STAGE_RUNS.append(x)
+    time.sleep(0.05)  # still running when its duplicates arrive
+    raise PoisonTaskError(f"poisonous-{x}", 2, 2)
+
+
+def broken(x):
+    STAGE_RUNS.append(x)
+    raise ValueError(f"broken stage {x}")
+
+
+def cacheable(func):
+    return TaskDefinition(
+        func=func, name=func.__name__, returns=object, n_returns=1,
+        cacheable=True,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -569,6 +596,136 @@ class TestInFlightCoalescing:
         assert stats["lease_waits"] == stats["hits"] == 17
         assert analysed["lease_waits"] == stats["lease_waits"]
         assert all(e.detail.startswith("coalesced onto stage_") for e in waits)
+
+    def test_follower_of_a_cache_hit_leader_wakes_its_waiter(
+        self, tmp_path, monkeypatch
+    ):
+        """A leader resolved from the cache at submit time finishes its
+        followers outside any attempt completion; their waiters must
+        still wake up."""
+        square = cacheable(slow_square)
+        with COMPSsRuntime(staged_config(tmp_path, reuse=True)) as runtime:
+            assert runtime.wait_on(runtime.submit(square, (7,), {})) == 49
+            reading, proceed = threading.Event(), threading.Event()
+            acquire = runtime.reuse.acquire
+
+            def held_acquire(key, wait=True):
+                if wait:  # the reserved leader's submit-time lookup
+                    reading.set()
+                    proceed.wait(10)
+                return acquire(key, wait)
+
+            monkeypatch.setattr(runtime.reuse, "acquire", held_acquire)
+            leader = threading.Thread(
+                target=runtime.submit, args=(square, (7,), {})
+            )
+            leader.start()
+            assert reading.wait(10)
+            follow = runtime.submit(square, (7,), {})
+            assert follow.invocation.state == TaskState.SUBMITTED  # held
+            got = []
+            waiter = threading.Thread(
+                target=lambda: got.append(runtime.wait_on(follow)),
+                daemon=True,
+            )
+            waiter.start()
+            time.sleep(0.1)  # the waiter blocks on the held follower
+            proceed.set()
+            leader.join(10)
+            waiter.join(5)
+            assert got == [49]
+
+    def test_cache_reads_never_hold_the_runtime_lock(
+        self, tmp_path, monkeypatch
+    ):
+        """Leaders read at submit time and followers as they settle, both
+        without the runtime lock, so a large verified fetch never stalls
+        other studies' submissions and completions."""
+        with COMPSsRuntime(staged_config(tmp_path, reuse=True)) as runtime:
+            acquire = runtime.reuse.acquire
+            owned = []
+
+            def watched(key, wait=True):
+                owned.append(runtime.lock._is_owned())
+                return acquire(key, wait)
+
+            monkeypatch.setattr(runtime.reuse, "acquire", watched)
+            staged_runner("lockfree", SLEEPY_SPACE, batch_size=None).run()
+            stats = runtime.reuse.stats()
+        assert (stats["hits"], stats["misses"]) == (17, 19)
+        assert len(owned) == 36 and not any(owned)
+
+    @pytest.mark.parametrize("executor", ["local", "simulated"])
+    def test_poisoned_leader_fails_its_followers_at_once(
+        self, tmp_path, executor
+    ):
+        """Poison is a property of the stage: the followers fail with the
+        leader's error instead of each crashing workers in turn."""
+        STAGE_RUNS.clear()
+        config = staged_config(tmp_path, reuse=True, executor=executor,
+                               **({"execute_bodies": True}
+                                  if executor == "simulated" else {}))
+        with COMPSsRuntime(config) as runtime:
+            futures = [runtime.submit(cacheable(poisonous), (5,), {})
+                       for _ in range(3)]
+            for fut in futures:
+                with pytest.raises(TaskFailedError) as info:
+                    runtime.wait_on(fut)
+                assert isinstance(info.value.cause, PoisonTaskError)
+        assert STAGE_RUNS == [5]
+
+    @pytest.mark.parametrize("executor", ["local", "simulated"])
+    def test_starved_leader_fails_its_followers_at_once(
+        self, tmp_path, executor
+    ):
+        """A starved stage fails its followers together, one starvation
+        timeout after submission — not one timeout per follower."""
+        config = staged_config(
+            tmp_path, reuse=True, executor=executor,
+            starvation_timeout_s=0.3,
+            **({"execute_bodies": True} if executor == "simulated" else {}),
+        )
+        with COMPSsRuntime(config) as runtime:
+            for node in list(runtime.pool.workers):
+                runtime.drain_node(node)
+            started = time.perf_counter()
+            futures = [runtime.submit(cacheable(slow_square), (3,), {})
+                       for _ in range(3)]
+            for fut in futures:
+                with pytest.raises(TaskFailedError) as info:
+                    runtime.wait_on(fut)
+                assert isinstance(info.value.cause, ResourceStarvationError)
+            elapsed = runtime.virtual_time
+            if elapsed is None:
+                elapsed = time.perf_counter() - started
+            starved = [t for t in runtime.graph.tasks()
+                       if any(h.startswith("starved") for h in t.attempt_history)]
+        assert len(starved) == 1  # only the leader was ever queued
+        assert elapsed < 0.6
+
+    def test_terminal_failure_costs_one_retry_budget_per_follower(
+        self, tmp_path
+    ):
+        """A stage failing terminally hands the key on: each follower in
+        turn spends exactly one retry budget (k duplicates, k budgets) —
+        the bound DESIGN.md states for transient-looking failures."""
+        def run(copies):
+            STAGE_RUNS.clear()
+            config = staged_config(tmp_path / str(copies), reuse=True,
+                                   executor="simulated", execute_bodies=True)
+            with COMPSsRuntime(config) as runtime:
+                futures = [runtime.submit(cacheable(broken), (2,), {})
+                           for _ in range(copies)]
+                for fut in futures:
+                    with pytest.raises(TaskFailedError):
+                        runtime.wait_on(fut)
+                return len(STAGE_RUNS), runtime.virtual_time
+
+        budget, alone = run(1)
+        runs, together = run(3)
+        assert budget >= 1
+        assert runs == 3 * budget
+        assert together <= 3 * alone + 1e-6
 
 
 # ----------------------------------------------------------------------
