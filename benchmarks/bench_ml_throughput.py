@@ -7,12 +7,23 @@ training throughput of the two model-zoo architectures.  The training
 tasks inside every HPO figure inherit this speed.
 """
 
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import banner
 
 from repro.ml import Conv2D, create_model
 from repro.ml.datasets import load_cifar_like, load_mnist_like
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+THRESHOLDS_PATH = Path(__file__).resolve().parent / "perf_thresholds.json"
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))  # the reference kernels live in tests/
 
 
 def naive_conv_forward(x, w, b):
@@ -85,3 +96,52 @@ def test_training_throughput(benchmark):
     # regressions (e.g. an accidental per-sample Python loop).
     assert mlp_sps > 2_000
     assert cnn_sps > 300
+
+
+def epoch_time(train_step, x, y, batch_size):
+    """Seconds for one unshuffled epoch of ``train_step``; returns (s, logs)."""
+    logs = []
+    t0 = time.perf_counter()
+    for start in range(0, x.shape[0], batch_size):
+        logs.append(train_step(x[start : start + batch_size], y[start : start + batch_size]))
+    return time.perf_counter() - t0, logs
+
+
+def test_cnn_step_speedup_vs_reference_kernels():
+    """Listing-1 CNN training step: current kernels vs the reference ones.
+
+    Both models start from the same weights and see the same batches;
+    epochs alternate between them (and which goes first) in one process,
+    so the ratio of median epoch times cancels host speed.  The losses
+    must agree exactly: the kernels are bit-identical.
+    """
+    from tests.ml_reference import as_reference, reference_train_on_batch
+
+    with open(THRESHOLDS_PATH) as fh:
+        floor = json.load(fh)["ml_cnn_step_speedup_min"]
+    (x, y), _ = load_mnist_like(n_train=512, n_test=10, seed=1)
+    config = {"architecture": "cnn", "filters": 4, "optimizer": "Adam"}
+    ratios = {}
+    for batch_size in (32, 64, 128):
+        model = create_model(config, input_shape=x.shape[1:], seed=1)
+        oracle = as_reference(create_model(config, input_shape=x.shape[1:], seed=1))
+
+        def ref_step(xb, yb, oracle=oracle):
+            return reference_train_on_batch(oracle, xb, yb)
+
+        arms = {"new": model.train_on_batch, "ref": ref_step}
+        times = {"new": [], "ref": []}
+        for rep in range(8):
+            order = ("new", "ref") if rep % 2 == 0 else ("ref", "new")
+            logs = {}
+            for arm in order:
+                seconds, logs[arm] = epoch_time(arms[arm], x, y, batch_size)
+                times[arm].append(seconds)
+            assert logs["new"] == logs["ref"], f"batch {batch_size}: losses diverged"
+        ratios[batch_size] = statistics.median(times["ref"]) / statistics.median(times["new"])
+
+    banner("Ablation — Listing-1 CNN step time, current vs reference kernels")
+    for batch_size, ratio in ratios.items():
+        print(f"batch {batch_size:>3}: reference / current step time = x{ratio:.2f}")
+    for batch_size, ratio in ratios.items():
+        assert ratio >= floor, (batch_size, ratio, floor)

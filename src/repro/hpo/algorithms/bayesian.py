@@ -14,8 +14,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 import numpy as np
-from scipy import linalg
-from scipy.stats import norm
 
 from repro.hpo.algorithms.base import SearchAlgorithm
 from repro.hpo.space import SearchSpace
@@ -54,6 +52,8 @@ class GaussianProcess:
             raise ValueError(f"bad shapes x={x.shape}, y={y.shape}")
         self._y_mean = float(y.mean())
         self._y_std = float(y.std()) or 1.0
+        from scipy import linalg  # deferred: scipy costs ~1 s of import time
+
         yz = (y - self._y_mean) / self._y_std
         k = rbf_kernel(x, x, self.length_scale)
         k[np.diag_indices_from(k)] += self.noise
@@ -66,6 +66,8 @@ class GaussianProcess:
         """Posterior mean and std at rows of ``x`` (original y units)."""
         if self._x is None:
             raise RuntimeError("predict() before fit()")
+        from scipy import linalg
+
         ks = rbf_kernel(x, self._x, self.length_scale)
         mean_z = ks @ self._alpha
         v = linalg.solve_triangular(self._chol, ks.T, lower=True)
@@ -79,6 +81,8 @@ def expected_improvement(
     mean: np.ndarray, std: np.ndarray, best: float, xi: float = 0.01
 ) -> np.ndarray:
     """EI for maximisation: E[max(f − best − ξ, 0)]."""
+    from scipy.stats import norm  # deferred, like scipy.linalg above
+
     std = np.maximum(std, 1e-12)
     z = (mean - best - xi) / std
     return (mean - best - xi) * norm.cdf(z) + std * norm.pdf(z)

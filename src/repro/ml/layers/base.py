@@ -46,6 +46,16 @@ class Layer(abc.ABC):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Given dL/d(output), populate parameter grads and return dL/d(input)."""
 
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        """Populate parameter grads only; dL/d(input) is not wanted.
+
+        :class:`~repro.ml.model.Sequential` calls this on its first layer
+        with parameters, whose input gradient nothing consumes.  Layers
+        whose input gradient costs real work override it to skip that
+        work; the default runs :meth:`backward` and drops the result.
+        """
+        self.backward(grad_out)
+
     @property
     def params(self) -> Dict[str, np.ndarray]:
         """Learnable parameter arrays by name (empty for stateless layers)."""

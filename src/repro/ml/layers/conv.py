@@ -8,6 +8,7 @@ channels-last ``(batch, height, width, channels)`` like Keras.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Tuple
 
 import numpy as np
@@ -22,6 +23,23 @@ def _pair(v) -> Tuple[int, int]:
         return (v, v)
     a, b = v
     return (int(a), int(b))
+
+
+@functools.lru_cache(maxsize=64)
+def _patch_index(
+    hp: int, wp: int, c: int, kh: int, kw: int, sh: int, sw: int
+) -> np.ndarray:
+    """Flat offsets, into one padded ``(hp, wp, c)`` image, of its patches.
+
+    Laid out ``(oh, ow, kh, kw, c)`` — the row-major order of one image's
+    block of im2col rows.  Read-only: the cache hands it to every caller.
+    """
+    oh = (hp - kh) // sh + 1
+    ow = (wp - kw) // sw + 1
+    oy, ox, i, j, ch = np.ogrid[:oh, :ow, :kh, :kw, :c]
+    index = (((oy * sh + i) * wp + ox * sw + j) * c + ch).reshape(-1)
+    index.setflags(write=False)
+    return index
 
 
 def im2col(
@@ -47,25 +65,22 @@ def im2col(
     n, h, w, c = x.shape
     sh, sw = stride
     ph, pw = pad
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    hp, wp = x.shape[1], x.shape[2]
+    hp, wp = h + 2 * ph, w + 2 * pw
     oh = (hp - kh) // sh + 1
     ow = (wp - kw) // sw + 1
     if oh <= 0 or ow <= 0:
         raise ValueError(
             f"kernel ({kh}x{kw}) larger than padded input ({hp}x{wp})"
         )
-    sn, sh_, sw_, sc = x.strides
-    # View of shape (n, oh, ow, kh, kw, c) without copying.
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, oh, ow, kh, kw, c),
-        strides=(sn, sh_ * sh, sw_ * sw, sh_, sw_, sc),
-        writeable=False,
-    )
-    cols = np.ascontiguousarray(windows).reshape(n * oh * ow, kh * kw * c)
-    return cols, (oh, ow)
+    if ph or pw:
+        padded = np.zeros((n, hp, wp, c), dtype=x.dtype)
+        padded[:, ph : ph + h, pw : pw + w, :] = x
+        x = padded
+    # One gather per image row of the batch: a strided window copy would
+    # run numpy's inner loop over only kw * c elements at a time.
+    index = _patch_index(hp, wp, c, kh, kw, sh, sw)
+    cols = x.reshape(n, hp * wp * c).take(index, axis=1)
+    return cols.reshape(n * oh * ow, kh * kw * c), (oh, ow)
 
 
 def col2im(
@@ -76,22 +91,26 @@ def col2im(
     stride: Tuple[int, int],
     pad: Tuple[int, int],
 ) -> np.ndarray:
-    """Scatter-add column gradients back to input layout (inverse of im2col)."""
+    """Scatter-add column gradients back to input layout (inverse of im2col).
+
+    Each input element sums its contributions in kernel-offset order
+    ``(i, j)``, starting from zero.
+    """
     n, h, w, c = x_shape
     sh, sw = stride
     ph, pw = pad
     hp, wp = h + 2 * ph, w + 2 * pw
     oh = (hp - kh) // sh + 1
     ow = (wp - kw) // sw + 1
-    grads = cols.reshape(n, oh, ow, kh, kw, c)
+    # Kernel offsets outermost, so each offset's gradient block is one
+    # contiguous (n, oh, ow, c) array rather than a c-element-strided view.
+    grads = np.ascontiguousarray(
+        cols.reshape(n, oh, ow, kh, kw, c).transpose(3, 4, 0, 1, 2, 5)
+    )
     x_grad = np.zeros((n, hp, wp, c), dtype=cols.dtype)
-    # Loop over the (small) kernel footprint only; each step is a strided
-    # vectorised add over the whole batch.
     for i in range(kh):
         for j in range(kw):
-            x_grad[:, i : i + oh * sh : sh, j : j + ow * sw : sw, :] += grads[
-                :, :, :, i, j, :
-            ]
+            x_grad[:, i : i + oh * sh : sh, j : j + ow * sw : sw, :] += grads[i, j]
     if ph or pw:
         x_grad = x_grad[:, ph : ph + h, pw : pw + w, :]
     return x_grad
@@ -188,21 +207,23 @@ class Conv2D(ParamLayer):
             self._x_shape = x.shape
         return out.reshape(x.shape[0], oh, ow, self.filters)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward_params(self, grad_out: np.ndarray) -> None:
         self._require_built()
         if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward() before forward(training=True)")
-        kh, kw = self.kernel_size
-        n = grad_out.shape[0]
         g = grad_out.reshape(-1, self.filters)
         w_grad = (self._cols.T @ g).reshape(self._params["W"].shape)
         self._grads = {"W": w_grad}
         if self.use_bias:
             self._grads["b"] = g.sum(axis=0)
-        cols_grad = g @ self._params["W"].reshape(-1, self.filters).T
-        grad_in = col2im(
-            cols_grad, self._x_shape, kh, kw, self.strides, self._pad
-        )
         self._cols = None
         self._x_shape = None
-        return grad_in
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        x_shape = self._x_shape
+        self.backward_params(grad_out)
+        assert x_shape is not None
+        kh, kw = self.kernel_size
+        g = grad_out.reshape(-1, self.filters)
+        cols_grad = g @ self._params["W"].reshape(-1, self.filters).T
+        return col2im(cols_grad, x_shape, kh, kw, self.strides, self._pad)

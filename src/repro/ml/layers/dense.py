@@ -65,7 +65,7 @@ class Dense(ParamLayer):
             y += self._params["b"]
         return y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward_params(self, grad_out: np.ndarray) -> None:
         self._require_built()
         if self._x is None:
             raise RuntimeError("backward() before forward(training=True)")
@@ -73,6 +73,8 @@ class Dense(ParamLayer):
         self._grads = {"W": x.T @ grad_out}
         if self.use_bias:
             self._grads["b"] = grad_out.sum(axis=0)
-        grad_in = grad_out @ self._params["W"].T
         self._x = None  # release the cache promptly (memory hygiene)
-        return grad_in
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        self.backward_params(grad_out)
+        return grad_out @ self._params["W"].T

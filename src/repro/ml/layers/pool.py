@@ -19,9 +19,16 @@ def _pair(v) -> Tuple[int, int]:
 class MaxPool2D(Layer):
     """Max pooling over non-overlapping (or strided) windows, channels-last.
 
-    For the common case ``pool == stride`` and an evenly-divisible input,
-    pooling is a pure reshape + max — no gather/scatter, fully vectorised.
-    The general case falls back to a strided-view reduction.
+    When ``pool == stride`` the windows tile the input (a trailing odd
+    row/column is cropped), so the input is viewed — not copied — as
+    ``(n, oh, ph, ow, pw, c)``.  The max is a chain of elementwise
+    ``np.maximum`` over the ``ph * pw`` window positions, the argmax a
+    pass over the same positions, and backward writes each window's
+    gradient once: no window copy, no gather and no scatter.  Values,
+    NaN propagation and tie-breaking (first occurrence) equal
+    ``max``/``argmax`` over each window.  Overlapping windows
+    (``stride < pool``) or gapped ones use a strided-view reduction and a
+    scatter-add.
     """
 
     def __init__(self, pool_size=2, strides=None, name: Optional[str] = None):
@@ -49,6 +56,18 @@ class MaxPool2D(Layer):
         self.output_shape = (oh, ow, c)
         self.built = True
 
+    def _tiles(self, x: np.ndarray) -> list:
+        """The ``ph * pw`` window positions of a tiling pool, as views.
+
+        Entry ``dy * pw + dx`` has shape ``(n, oh, ow, c)`` and holds the
+        element at offset ``(dy, dx)`` of every window.
+        """
+        n, _, _, c = x.shape
+        ph, pw = self.pool_size
+        oh, ow, _ = self.output_shape  # type: ignore[misc]
+        v = x[:, : oh * ph, : ow * pw, :].reshape(n, oh, ph, ow, pw, c)
+        return [v[:, :, dy, :, dx, :] for dy in range(ph) for dx in range(pw)]
+
     def _windows(self, x: np.ndarray) -> np.ndarray:
         """Strided view ``(n, oh, ow, ph, pw, c)`` over pooling windows."""
         n, h, w, c = x.shape
@@ -65,12 +84,31 @@ class MaxPool2D(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._require_built()
-        windows = self._windows(x)
-        n, oh, ow, ph, pw, c = windows.shape
-        flat = windows.reshape(n, oh, ow, ph * pw, c)
-        out = flat.max(axis=3)
+        if self.strides != self.pool_size:
+            windows = self._windows(x)
+            n, oh, ow, ph, pw, c = windows.shape
+            flat = windows.reshape(n, oh, ow, ph * pw, c)
+            out = flat.max(axis=3)
+            if training:
+                self._argmax = flat.argmax(axis=3)
+                self._x_shape = x.shape
+            return out
+        tiles = self._tiles(x)
+        out = tiles[0].copy()
+        for t in tiles[1:]:
+            np.maximum(out, t, out=out)
         if training:
-            self._argmax = flat.argmax(axis=3)
+            # First occurrence wins: write positions last-to-first.
+            argmax = np.zeros(out.shape, dtype=np.min_scalar_type(len(tiles)))
+            for k in range(len(tiles) - 1, -1, -1):
+                np.copyto(argmax, k, where=tiles[k] == out)
+            nan = np.isnan(out)
+            if nan.any():
+                # A NaN window's max is NaN, which equals nothing: its
+                # argmax is its first NaN, as for np.argmax.
+                for k in range(len(tiles) - 1, -1, -1):
+                    np.copyto(argmax, k, where=nan & np.isnan(tiles[k]))
+            self._argmax = argmax
             self._x_shape = x.shape
         return out
 
@@ -78,18 +116,25 @@ class MaxPool2D(Layer):
         self._require_built()
         if self._argmax is None or self._x_shape is None:
             raise RuntimeError("backward() before forward(training=True)")
-        n, h, w, c = self._x_shape
-        ph, pw = self.pool_size
-        sh, sw = self.strides
-        oh, ow, _ = self.output_shape  # type: ignore[misc]
         grad_in = np.zeros(self._x_shape, dtype=grad_out.dtype)
-        # Decompose flat argmax back into (dy, dx) offsets.
-        dy = self._argmax // pw
-        dx = self._argmax % pw
-        n_idx, oh_idx, ow_idx, c_idx = np.indices((n, oh, ow, c))
-        rows = oh_idx * sh + dy
-        cols_ = ow_idx * sw + dx
-        np.add.at(grad_in, (n_idx, rows, cols_, c_idx), grad_out)
+        if self.strides == self.pool_size:
+            # 0.0 + g, exactly what a scatter-add into zeros writes (-0.0
+            # becomes +0.0).
+            grad = grad_out + 0.0
+            for k, tile in enumerate(self._tiles(grad_in)):
+                tile[...] = np.where(self._argmax == k, grad, 0.0)
+        else:
+            n, h, w, c = self._x_shape
+            ph, pw = self.pool_size
+            sh, sw = self.strides
+            oh, ow, _ = self.output_shape  # type: ignore[misc]
+            # Decompose flat argmax back into (dy, dx) offsets.
+            dy = self._argmax // pw
+            dx = self._argmax % pw
+            n_idx, oh_idx, ow_idx, c_idx = np.indices((n, oh, ow, c))
+            rows = oh_idx * sh + dy
+            cols_ = ow_idx * sw + dx
+            np.add.at(grad_in, (n_idx, rows, cols_, c_idx), grad_out)
         self._argmax = None
         self._x_shape = None
         return grad_in

@@ -192,8 +192,13 @@ class Sequential:
         out = self.forward(x, training=True)
         loss_value = self.loss.value(y, out)
         grad = self.loss.gradient(y, out)
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+        # dL/dx of the first layer with parameters (and of any layer before
+        # it) feeds no parameter, so backprop stops there.
+        first = next((i for i, layer in enumerate(self.layers) if layer.params), None)
+        if first is not None:
+            for layer in reversed(self.layers[first + 1 :]):
+                grad = layer.backward(grad)
+            self.layers[first].backward_params(grad)
         self.optimizer.apply_gradients(flat_param_list(self.layers))
         return {"loss": loss_value, "accuracy": accuracy(y, out)}
 

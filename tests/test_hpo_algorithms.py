@@ -237,3 +237,25 @@ class TestRegistry:
     def test_name_requires_space(self):
         with pytest.raises(ValueError, match="SearchSpace"):
             get_algorithm("grid")
+
+
+def test_core_imports_leave_scipy_unloaded():
+    """scipy is imported only when a Gaussian process is fitted or queried."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = (
+        "import sys\n"
+        "import repro.hpo, repro.runtime.runtime, repro.simcluster\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]"

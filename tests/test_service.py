@@ -47,6 +47,17 @@ def request(study_id, objective="fast_mock", **kw):
     return StudyRequest(study_id=study_id, objective=objective, **kw)
 
 
+#: Held shut by tests that need several studies' tasks queued at once.
+_GATE = threading.Event()
+
+
+def gated_mock_objective(config):
+    """``fast_mock_objective`` that first waits for :data:`_GATE`."""
+    if not _GATE.wait(timeout=60):
+        raise RuntimeError("gate never opened")
+    return fast_mock_objective(config)
+
+
 def solo_study(study_id, objective=fast_mock_objective, algorithm="grid"):
     """The same study run alone on a fresh runtime (the baseline)."""
     runner = PyCOMPSsRunner(
@@ -209,13 +220,28 @@ class TestServiceEndToEnd:
     def test_fair_rounds_engage_only_with_concurrent_studies(self, tmp_path):
         service = make_service(tmp_path).start()
         client = ServiceClient(service.paths.root, poll_s=0.01)
+        _GATE.clear()
         try:
             for sid, tenant in (("m1", "a"), ("m2", "b"), ("m3", "c")):
-                client.submit(request(sid, tenant=tenant),
+                client.submit(request(sid, tenant=tenant,
+                                      objective=f"{__name__}:gated_mock_objective"),
                               wait_admission=False)
+            # Each study submits its 9 trials at once.  4 fill the slots
+            # and wait at the gate; open it only when the other 23 are
+            # queued, so the rounds that follow see all three studies.
+            dispatcher = service.runtime.dispatcher
+            deadline = time.monotonic() + 60
+            while dispatcher.pending() < 3 * 9 - 4:
+                assert time.monotonic() < deadline, "studies never all queued"
+                service.step()
+                time.sleep(0.01)
+            _GATE.set()
             service.run_until_idle(max_wait_s=120)
-            stats = service.runtime.dispatcher.stats.snapshot()
+            stats = dispatcher.stats.snapshot()
+            assert all(client.status(sid)["status"] == "completed"
+                       for sid in ("m1", "m2", "m3"))
         finally:
+            _GATE.set()
             service.shutdown()
         assert stats["fair_rounds"] > 0
 
